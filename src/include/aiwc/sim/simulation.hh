@@ -25,13 +25,10 @@ class Simulation
     Seconds now() const { return now_; }
 
     /** Schedule a callback at an absolute time >= now(). */
-    EventId at(Seconds when, std::function<void()> callback);
+    void at(Seconds when, std::function<void()> callback);
 
     /** Schedule a callback `delay` seconds from now (delay >= 0). */
-    EventId after(Seconds delay, std::function<void()> callback);
-
-    /** Cancel a scheduled event; no-op on unknown/fired ids. */
-    bool cancel(EventId id) { return events_.cancel(id); }
+    void after(Seconds delay, std::function<void()> callback);
 
     /**
      * Run until the queue is empty. @return number of events fired.
@@ -49,9 +46,12 @@ class Simulation
     std::size_t pendingEvents() const { return events_.size(); }
 
   private:
-    EventQueue events_;
+    /** Fire every event at or before `horizon`, in queue order. */
+    std::size_t dispatch(Seconds horizon);
+
+    /** Every replay event has rank 0: it fires in (time, seq) order. */
+    EventQueue<std::function<void()>> events_;
     Seconds now_ = 0.0;
 };
 
 } // namespace aiwc::sim
-

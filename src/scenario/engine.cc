@@ -1,10 +1,10 @@
 #include "aiwc/scenario/engine.hh"
 
 #include <algorithm>
-#include <queue>
 
 #include "aiwc/base/check.hh"
 #include "aiwc/obs/metrics.hh"
+#include "aiwc/sim/event_queue.hh"
 #include "aiwc/sketch/kll.hh"
 
 namespace aiwc::scenario
@@ -37,7 +37,10 @@ struct EngineMetrics
     }
 };
 
-/** Event kinds, in same-timestamp processing order. */
+/**
+ * Event kinds, in same-timestamp processing order; each kind is its
+ * event's rank in the shared sim::EventQueue.
+ */
 enum : int
 {
     ev_completion = 0,
@@ -46,26 +49,11 @@ enum : int
     ev_tick = 3,
 };
 
-struct Event
+/** The task an event refers to; ticks leave both fields 0. */
+struct TaskRef
 {
-    Seconds time = 0.0;
-    int kind = ev_arrival;
-    std::uint64_t seq = 0;      //!< tie-break: insertion order
-    std::uint32_t tidx = 0;     //!< task index (not used by ticks)
+    std::uint32_t tidx = 0;     //!< task index
     std::uint32_t gen = 0;      //!< completion generation (migrations)
-};
-
-struct EventLater
-{
-    bool
-    operator()(const Event &a, const Event &b) const
-    {
-        if (a.time != b.time)
-            return a.time > b.time;
-        if (a.kind != b.kind)
-            return a.kind > b.kind;
-        return a.seq > b.seq;
-    }
 };
 
 /** Per-task runtime bookkeeping. */
@@ -114,19 +102,18 @@ class CellSimulator
                 m.sleep(s, 0.0);
         }
         for (std::uint32_t i = 0; i < tasks_.size(); ++i)
-            push({tasks_[i].arrival, ev_arrival, 0, i, 0});
+            events_.push(tasks_[i].arrival, ev_arrival, {i, 0});
         const Seconds tick = consolidationPeriod();
         if (tick > 0.0)
-            push({tick, ev_tick, 0, 0, 0});
+            events_.push(tick, ev_tick, {});
 
         while (!events_.empty()) {
-            Event ev = events_.top();
-            events_.pop();
-            switch (ev.kind) {
-              case ev_arrival: arrive(ev); break;
-              case ev_completion: complete(ev); break;
-              case ev_wake_place: wakePlace(ev); break;
-              case ev_tick: consolidate(ev); break;
+            const auto ev = events_.pop();
+            switch (ev.rank) {
+              case ev_arrival: arrive(ev.payload.tidx); break;
+              case ev_completion: complete(ev.time, ev.payload); break;
+              case ev_wake_place: wakePlace(ev.time, ev.payload.tidx); break;
+              case ev_tick: consolidate(ev.time); break;
             }
         }
         finishStats();
@@ -134,13 +121,6 @@ class CellSimulator
     }
 
   private:
-    void
-    push(Event ev)
-    {
-        ev.seq = next_seq_++;
-        events_.push(ev);
-    }
-
     Seconds
     consolidationPeriod() const
     {
@@ -179,17 +159,17 @@ class CellSimulator
     }
 
     void
-    arrive(const Event &ev)
+    arrive(std::uint32_t tidx)
     {
-        const Task &task = tasks_[ev.tidx];
+        const Task &task = tasks_[tidx];
         ++stats_.tasks;
         note(task.arrival);
         if (!fitsAnyClass(task)) {
-            runs_[ev.tidx].state = Run::State::Dropped;
+            runs_[tidx].state = Run::State::Dropped;
             drop(task);
             return;
         }
-        pending_.push_back(ev.tidx);
+        pending_.push_back(tidx);
         drain(task.arrival);
     }
 
@@ -229,7 +209,7 @@ class CellSimulator
         const Seconds ready = m.wake(now);
         ++stats_.wakes;
         run.state = Run::State::Waking;
-        push({ready, ev_wake_place, 0, tidx, 0});
+        events_.push(ready, ev_wake_place, {tidx, 0});
         return true;
     }
 
@@ -252,44 +232,44 @@ class CellSimulator
             ++stats_.waits[static_cast<std::size_t>(task.sla)].tasks;
         }
         ++run.gen;
-        push({run.run_end, ev_completion, 0, tidx, run.gen});
+        events_.push(run.run_end, ev_completion, {tidx, run.gen});
     }
 
     void
-    wakePlace(const Event &ev)
+    wakePlace(Seconds now, std::uint32_t tidx)
     {
-        Run &run = runs_[ev.tidx];
+        Run &run = runs_[tidx];
         if (run.state != Run::State::Waking)
             return;
         Machine &m = fleet_.machines[static_cast<std::size_t>(run.machine)];
-        m.completeWake(ev.time);
-        note(ev.time);
-        if (!m.canFit(demandFor(tasks_[ev.tidx], run.p_state))) {
+        m.completeWake(now);
+        note(now);
+        if (!m.canFit(demandFor(tasks_[tidx], run.p_state))) {
             run.state = Run::State::Pending;  // defensive; re-queue
-            pending_.push_back(ev.tidx);
+            pending_.push_back(tidx);
             return;
         }
-        start(ev.tidx, m, ev.time);
-        drain(ev.time);
+        start(tidx, m, now);
+        drain(now);
     }
 
     void
-    complete(const Event &ev)
+    complete(Seconds now, TaskRef ref)
     {
-        Run &run = runs_[ev.tidx];
-        if (run.state != Run::State::Running || ev.gen != run.gen)
+        Run &run = runs_[ref.tidx];
+        if (run.state != Run::State::Running || ref.gen != run.gen)
             return;  // stale completion from before a migration
-        const Task &task = tasks_[ev.tidx];
+        const Task &task = tasks_[ref.tidx];
         Machine &m = fleet_.machines[static_cast<std::size_t>(run.machine)];
-        m.remove(demandFor(task, run.p_state), ev.time);
+        m.remove(demandFor(task, run.p_state), now);
         busy_core_seconds_ +=
-            static_cast<double>(task.cores) * (ev.time - run.placed_at);
+            static_cast<double>(task.cores) * (now - run.placed_at);
         run.state = Run::State::Done;
         run.remaining = 0.0;
         ++stats_.finished;
-        note(ev.time);
+        note(now);
 
-        const Seconds service = ev.time - task.arrival;
+        const Seconds service = now - task.arrival;
         const double factor =
             task.sla == SlaClass::LatencySensitive
                 ? options_.latency_sla_factor
@@ -298,8 +278,8 @@ class CellSimulator
             service > factor * task.expected_runtime + options_.sla_grace)
             ++stats_.sla_violations;
 
-        drain(ev.time);
-        maybeSleep(m, ev.time);
+        drain(now);
+        maybeSleep(m, now);
     }
 
     /** Policy-directed sleep for a machine that went fully idle. */
@@ -316,9 +296,8 @@ class CellSimulator
     }
 
     void
-    consolidate(const Event &ev)
+    consolidate(Seconds now)
     {
-        const Seconds now = ev.time;
         std::vector<RunningView> running;
         for (std::uint32_t i = 0; i < runs_.size(); ++i) {
             const Run &run = runs_[i];
@@ -348,7 +327,7 @@ class CellSimulator
         const bool active = !running.empty() || !pending_.empty() ||
                             !events_.empty();
         if (active)
-            push({now + consolidationPeriod(), ev_tick, 0, 0, 0});
+            events_.push(now + consolidationPeriod(), ev_tick, {});
     }
 
     void
@@ -389,7 +368,7 @@ class CellSimulator
                       run.remaining * durationOn(dst, task, run.p_state);
         ++run.gen;
         ++stats_.migrations;
-        push({run.run_end, ev_completion, 0, mig.task_id, run.gen});
+        events_.push(run.run_end, ev_completion, {mig.task_id, run.gen});
         maybeSleep(src, now);
     }
 
@@ -457,8 +436,7 @@ class CellSimulator
     const SchedulingPolicy &policy_;
     EngineOptions options_;
 
-    std::priority_queue<Event, std::vector<Event>, EventLater> events_;
-    std::uint64_t next_seq_ = 0;
+    sim::EventQueue<TaskRef> events_;
     std::vector<Run> runs_;
     std::vector<std::uint32_t> pending_;
     std::array<sketch::KllSketch, num_sla_classes> wait_sketches_;

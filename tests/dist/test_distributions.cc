@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "aiwc/common/rng.hh"
@@ -227,6 +228,18 @@ TEST_P(FromQuantiles, AnchorsRoundTrip)
     const LogNormal d = LogNormal::fromQuantiles(p.q1, p.v1, p.q2, p.v2);
     EXPECT_NEAR(d.quantile(p.q1), p.v1, 1e-6 * p.v1);
     EXPECT_NEAR(d.quantile(p.q2), p.v2, 1e-6 * p.v2);
+}
+
+/**
+ * Prints "P25at4_P50at30": each anchor's percentile and value. CTest
+ * names each instance after its printed parameter, so this keeps the
+ * names readable and the same in every build.
+ */
+void
+PrintTo(const QuantilePair &p, std::ostream *os)
+{
+    *os << 'P' << std::lround(p.q1 * 100.0) << "at" << std::lround(p.v1)
+        << "_P" << std::lround(p.q2 * 100.0) << "at" << std::lround(p.v2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -73,16 +73,6 @@ TEST(Simulation, RunUntilOnEmptyAdvancesClock)
     EXPECT_DOUBLE_EQ(sim.now(), 42.0);
 }
 
-TEST(Simulation, CancelScheduledEvent)
-{
-    Simulation sim;
-    bool fired = false;
-    const EventId id = sim.at(1.0, [&] { fired = true; });
-    EXPECT_TRUE(sim.cancel(id));
-    sim.run();
-    EXPECT_FALSE(fired);
-}
-
 TEST(Simulation, RunUntilHorizonExactlyAtNextEventFiresIt)
 {
     // Boundary contract: an event AT the horizon belongs to the run.
@@ -113,6 +103,15 @@ TEST(SimulationContract, NegativeDelayFails)
     ScopedCheckFailHandler guard;
     Simulation sim;
     EXPECT_THROW(sim.after(-0.5, [] {}), ContractViolation);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(SimulationContract, RejectsNullCallback)
+{
+    ScopedCheckFailHandler guard;
+    Simulation sim;
+    EXPECT_THROW(sim.at(1.0, nullptr), ContractViolation);
+    EXPECT_THROW(sim.after(1.0, nullptr), ContractViolation);
     EXPECT_EQ(sim.pendingEvents(), 0u);
 }
 

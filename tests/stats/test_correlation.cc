@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "aiwc/common/rng.hh"
@@ -126,8 +127,24 @@ TEST(TTest, ZeroStatisticGivesPOne)
 }
 
 // Property sweep: spearman(x, f(x)) == 1 for strictly increasing f.
-class SpearmanMonotone
-    : public ::testing::TestWithParam<double (*)(double)>
+struct Transform
+{
+    const char *name;
+    double (*apply)(double);
+};
+
+/**
+ * CTest names each instance after its printed parameter; print the
+ * transform's name, not the function pointer, so the names are the
+ * same in every build.
+ */
+void
+PrintTo(const Transform &t, std::ostream *os)
+{
+    *os << t.name;
+}
+
+class SpearmanMonotone : public ::testing::TestWithParam<Transform>
 {
 };
 
@@ -138,7 +155,7 @@ TEST_P(SpearmanMonotone, InvariantUnderMonotoneTransforms)
     for (int i = 0; i < 200; ++i) {
         const double v = rng.uniform(0.1, 10.0);
         x.push_back(v);
-        y.push_back(GetParam()(v));
+        y.push_back(GetParam().apply(v));
     }
     EXPECT_NEAR(spearman(x, y).coefficient, 1.0, 1e-12);
 }
@@ -147,8 +164,10 @@ double fLog(double v) { return std::log(v); }
 double fSqrt(double v) { return std::sqrt(v); }
 double fCube(double v) { return v * v * v; }
 
-INSTANTIATE_TEST_SUITE_P(Transforms, SpearmanMonotone,
-                         ::testing::Values(&fLog, &fSqrt, &fCube));
+INSTANTIATE_TEST_SUITE_P(
+    Transforms, SpearmanMonotone,
+    ::testing::Values(Transform{"Log", &fLog}, Transform{"Sqrt", &fSqrt},
+                      Transform{"Cube", &fCube}));
 
 } // namespace
 } // namespace aiwc::stats

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "aiwc/common/parallel.hh"
@@ -146,23 +148,38 @@ TEST(StreamPipeline, SnapshotWhileIngestingIsRaceFreeAndConsistent)
     constexpr int records = 4000;
     StreamPipeline p;
     std::atomic<bool> done{false};
+    // The writer starts only once the reader is in its loop, so the
+    // reader's snapshots overlap the ingest on any scheduler.
+    std::latch first_snapshot{1};
+    std::atomic<int> ingested{0};
     ThreadPool writer(1);
     writer.submit([&] {
-        for (int i = 0; i < records; ++i)
+        first_snapshot.wait();
+        for (int i = 0; i < records; ++i) {
             p.ingest(gpuRecord(static_cast<JobId>(i),
                                static_cast<UserId>(i % 16),
                                60.0 + i % 977));
+            ingested.fetch_add(1, std::memory_order_release);
+        }
         done.store(true, std::memory_order_release);
     });
     std::uint64_t snapshots = 0;
     while (!done.load(std::memory_order_acquire)) {
         const auto snap = p.snapshot();
-        ++snapshots;
+        if (snapshots++ == 0)
+            first_snapshot.count_down();
         EXPECT_LE(snap.rows, static_cast<std::uint64_t>(records));
         // Every ingested record was a GPU job over the debris cut, so
         // a consistent snapshot counts each row in exactly one bucket.
         EXPECT_EQ(snap.gpu_jobs + snap.cpu_jobs, snap.rows);
         EXPECT_LE(snap.users, 16u);
+        // Back-to-back snapshots starve the writer on the unfair mutex,
+        // so let it ingest a stride of records first. The stride bounds
+        // the snapshot count, whose cost grows with the rows ingested.
+        const int seen = ingested.load(std::memory_order_acquire);
+        while (!done.load(std::memory_order_acquire) &&
+               ingested.load(std::memory_order_acquire) < seen + 100)
+            std::this_thread::yield();
     }
     const auto final_snap = p.snapshot();
     EXPECT_EQ(final_snap.rows, static_cast<std::uint64_t>(records));

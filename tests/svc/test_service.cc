@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "../core/record_builder.hh"
@@ -206,6 +208,11 @@ TEST(Service, SnapshotWhileDrainingObservesBatchBoundaries)
     constexpr int per_batch = 50;
     Service svc;
     std::atomic<bool> done{false};
+    // The first enqueue creates the tenant; the feeder then waits for
+    // the reader's first snapshot, so snapshots overlap the drains on
+    // any scheduler.
+    std::latch first_snapshot{1};
+    std::atomic<int> drained{0};
     ThreadPool feeder(1);
     feeder.submit([&] {
         for (int b = 0; b < batches; ++b) {
@@ -213,16 +220,32 @@ TEST(Service, SnapshotWhileDrainingObservesBatchBoundaries)
                        9, tenantBatch(9, per_batch, b * per_batch)) !=
                    Admission::Accepted)
                 svc.drain();
+            if (b == 0)
+                first_snapshot.wait();
             svc.drain();
+            drained.fetch_add(1, std::memory_order_release);
         }
         done.store(true, std::memory_order_release);
     });
+    bool first = true;
     while (!done.load(std::memory_order_acquire)) {
-        if (!svc.hasTenant(9))
+        if (!svc.hasTenant(9)) {
+            std::this_thread::yield();
             continue;
+        }
         const auto snap = svc.snapshot(9);
+        if (first) {
+            first = false;
+            first_snapshot.count_down();
+        }
         EXPECT_EQ(snap.rows % per_batch, 0u) << "torn batch";
         EXPECT_EQ(snap.gpu_jobs + snap.cpu_jobs, snap.rows);
+        // Back-to-back snapshots starve the feeder on the tenant mutex,
+        // so wait for it to finish at least one more drain.
+        const int seen = drained.load(std::memory_order_acquire);
+        while (!done.load(std::memory_order_acquire) &&
+               drained.load(std::memory_order_acquire) == seen)
+            std::this_thread::yield();
     }
     svc.drain();
     EXPECT_EQ(svc.snapshot(9).rows,
