@@ -60,7 +60,9 @@ class UtilizationModel
     static double noisySample(double mean, double rel, Rng &rng);
 
   private:
-    const JobProfile &profile_;
+    // By value, as in PhaseModel: a reference member would dangle when
+    // the model is built from a temporary profile.
+    JobProfile profile_;
 };
 
 } // namespace aiwc::telemetry

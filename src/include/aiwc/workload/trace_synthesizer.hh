@@ -94,9 +94,9 @@ class TraceSynthesizer
 
     /**
      * Streaming replay: identical simulation to run(), but each
-     * JobRecord is pushed into @p sink the moment the scheduler epilog
-     * (or the no-scheduler fast path) finishes it, and no Dataset is
-     * ever materialized — the peak record footprint is one job. Record
+     * JobRecord is pushed into @p sink once the batch of finished jobs
+     * it belongs to has its telemetry sampled, and no Dataset is ever
+     * materialized — the peak record footprint is one batch. Record
      * values match run()'s exactly for the same (profile, seed);
      * emission order is the replay's completion order (submit order
      * when through_scheduler is off), deterministic for a fixed seed.

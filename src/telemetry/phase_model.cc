@@ -31,11 +31,27 @@ std::vector<Phase>
 PhaseModel::generate(Seconds duration, Rng &rng) const
 {
     AIWC_CHECK(duration > 0.0, "phase generation needs a positive run");
-    std::vector<Phase> out;
-
     const double idle_median = impliedIdleMedian();
     const double mu_a = std::log(profile_.active_len_median_s);
     const double mu_i = std::log(std::max(idle_median, 1e-3));
+
+    // Reserve for the expected number of phases, two per active+idle
+    // cycle of mean length E[active] + E[idle], so a long job does not
+    // regrow its buffer a dozen times. The lengths are heavy-tailed, so
+    // a typical run falls short of the mean and needs more phases than
+    // that: reserve a quarter more, or most vectors would still double
+    // once. Capped: a tiny median would otherwise reserve far more than
+    // the 0.1 s floor lets it use.
+    constexpr double max_reserved_phases = 16384.0;
+    const double sa = profile_.active_len_sigma;
+    const double si = profile_.idle_len_sigma;
+    const double cycle = std::exp(mu_a + 0.5 * sa * sa) +
+                         std::exp(mu_i + 0.5 * si * si);
+    double reserved = 1.25 * (2.0 * duration / cycle + 2.0);
+    if (!(reserved < max_reserved_phases))  // also catches NaN
+        reserved = max_reserved_phases;
+    std::vector<Phase> out;
+    out.reserve(static_cast<std::size_t>(reserved));
 
     bool active = rng.chance(clamped_af_);
     Seconds t = 0.0;

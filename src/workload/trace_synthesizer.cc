@@ -69,6 +69,22 @@ nominalSpoolBytes(const sched::Job &job,
         gpu_rows * sizeof(telemetry::Sample) + cpu_rows * 64.0);
 }
 
+/**
+ * Finished records whose telemetry is sampled together across the
+ * pool. A fixed constant, so batch boundaries depend only on the
+ * replay, never on the thread count.
+ */
+constexpr std::size_t telemetry_batch = 512;
+
+/** A finished record waiting for its telemetry and its turn at the sink. */
+struct PendingRecord
+{
+    core::JobRecord record;
+    /** Run time to sample over; 0 when the record carries no telemetry. */
+    Seconds sample_seconds = 0.0;
+    std::uint64_t samples = 0;
+};
+
 } // namespace
 
 TraceSynthesizer::TraceSynthesizer(const CalibrationProfile &profile,
@@ -295,10 +311,54 @@ TraceSynthesizer::runImpl(SynthesisResult &result,
     telemetry::NodeSpool spool;
     telemetry::EpilogCollector collector(spool);
 
+    // A job's telemetry is a pure function of its profile, run time
+    // and detail flag (it draws from its own telemetry_seed), and the
+    // replay never reads it. So finished records queue up here, and
+    // flush() samples a whole batch across the pool before handing the
+    // records to the sink in completion order: every output bit is the
+    // same as sampling each job in its epilog.
+    std::vector<PendingRecord> pending;
+    pending.reserve(telemetry_batch);
+    auto &telemetry_jobs = obs::MetricsRegistry::global().counter(
+        "aiwc.workload.telemetry_jobs");
+    auto &telemetry_samples = obs::MetricsRegistry::global().counter(
+        "aiwc.workload.telemetry_samples");
+    auto &telemetry_detailed = obs::MetricsRegistry::global().counter(
+        "aiwc.workload.telemetry_detailed_jobs");
+
+    auto flush = [&] {
+        obs::TraceSpan span("synthesize.telemetry");
+        parallelFor(globalPool(), pending.size(), [&](std::size_t i) {
+            PendingRecord &p = pending[i];
+            if (p.sample_seconds <= 0.0)
+                return;
+            core::JobRecord &rec = p.record;
+            const bool detail = detailed[rec.id];
+            auto tele = sampler.sampleJob(result.profiles[rec.id],
+                                          p.sample_seconds, detail);
+            p.samples = tele.samples_generated;
+            rec.per_gpu = std::move(tele.per_gpu);
+            rec.has_timeseries = detail;
+            if (detail)
+                rec.phases = std::move(tele.phases);
+        });
+        std::uint64_t jobs = 0, samples = 0, detailed_jobs = 0;
+        for (PendingRecord &p : pending) {
+            jobs += p.sample_seconds > 0.0;
+            samples += p.samples;
+            detailed_jobs += p.record.has_timeseries;
+            sink(std::move(p.record));
+        }
+        telemetry_jobs.add(jobs);
+        telemetry_samples.add(samples);
+        telemetry_detailed.add(detailed_jobs);
+        pending.clear();
+    };
+
     auto finalize = [&](const sched::Job &job) {
-        const JobId id = job.request.id;
-        core::JobRecord rec;
-        rec.id = id;
+        PendingRecord &p = pending.emplace_back();
+        core::JobRecord &rec = p.record;
+        rec.id = job.request.id;
         rec.user = job.request.user;
         rec.interface = job.request.interface;
         rec.true_class = job.request.lifecycle;
@@ -310,18 +370,11 @@ TraceSynthesizer::runImpl(SynthesisResult &result,
         rec.gpus = job.request.gpus;
         rec.cpu_slots = job.request.cpu_slots;
         rec.ram_gb = job.request.ram_gb;
-
         if (job.request.isGpuJob() && options_.telemetry &&
-            job.runTime() > 0.0) {
-            const bool detail = detailed[id];
-            auto tele = sampler.sampleJob(result.profiles[id],
-                                          job.runTime(), detail);
-            rec.per_gpu = std::move(tele.per_gpu);
-            rec.has_timeseries = detail;
-            if (detail)
-                rec.phases = std::move(tele.phases);
-        }
-        sink(std::move(rec));
+            job.runTime() > 0.0)
+            p.sample_seconds = job.runTime();
+        if (pending.size() == telemetry_batch)
+            flush();
     };
 
     if (options_.through_scheduler) {
@@ -369,6 +422,7 @@ TraceSynthesizer::runImpl(SynthesisResult &result,
         for (const auto &j : jobs)
             scheduler.submit(j.request);
         sim.run();
+        flush();
         // End-of-run self-check: after the queue drains, every resource
         // must be back in the free pool and the ledgers must balance.
         // A leak here would silently skew every downstream figure.
@@ -386,6 +440,7 @@ TraceSynthesizer::runImpl(SynthesisResult &result,
             job.terminal = j.request.observedEnd();
             finalize(job);
         }
+        flush();
     }
 
     result.central_store_bytes = collector.centralStoreBytes();

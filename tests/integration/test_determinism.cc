@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "aiwc/common/parallel.hh"
 #include "aiwc/obs/trace.hh"
@@ -401,6 +402,47 @@ TEST(Determinism, SynthesisIsThreadCountInvariant)
     for (std::size_t r = 0; r < serial.size(); ++r) {
         EXPECT_EQ(completionDigest(serial[r].dataset),
                   completionDigest(threaded[r].dataset));
+    }
+}
+
+TEST(Determinism, MainThreadSynthesisIsThreadCountInvariant)
+{
+    // run() called from a non-worker thread samples telemetry across
+    // the pool in batches (runReplicates above runs each run() on a
+    // worker, where the fan-out is inline). Scale 0.04 gives ~2.7k
+    // records: several full batches plus a partial one.
+    const int before = globalThreadCount();
+    const auto profile = workload::CalibrationProfile::supercloud();
+    for (const bool through_scheduler : {true, false}) {
+        SCOPED_TRACE(through_scheduler ? "scheduler replay"
+                                       : "no scheduler");
+        workload::SynthesisOptions options;
+        options.seed = 1234;
+        options.scale = 0.04;
+        options.through_scheduler = through_scheduler;
+        const workload::TraceSynthesizer synthesizer(profile, options);
+
+        setGlobalThreadCount(1);
+        const auto serial = synthesizer.run();
+        setGlobalThreadCount(8);
+        const auto threaded = synthesizer.run();
+        std::vector<JobId> streamed;
+        synthesizer.runStreaming([&streamed](core::JobRecord &&rec) {
+            streamed.push_back(rec.id);
+        });
+        setGlobalThreadCount(before);
+
+        ASSERT_GT(serial.dataset.size(), 1024u);
+        EXPECT_EQ(fmt::contentDigest(serial.dataset),
+                  fmt::contentDigest(threaded.dataset));
+        EXPECT_EQ(completionDigest(serial.dataset),
+                  completionDigest(threaded.dataset));
+
+        // The sink sees records in the replay's completion order.
+        std::vector<JobId> ordered;
+        for (const auto &r : threaded.dataset.records())
+            ordered.push_back(r.id);
+        EXPECT_EQ(streamed, ordered);
     }
 }
 

@@ -77,6 +77,20 @@ TEST(UtilizationModel, IdleLevelsQuiesceGpu)
     EXPECT_LT(lv.tx, 0.01);
 }
 
+TEST(UtilizationModel, OutlivesATemporaryProfile)
+{
+    // The model keeps its own copy of the profile: drawing after the
+    // temporary it was built from is gone must read the same levels
+    // (ASan flags a use-after-scope if it held a reference).
+    const UtilizationModel model(baseProfile());
+    const JobProfile p = baseProfile();
+    EXPECT_NEAR(model.idleLevels().memsize, 0.85 * p.memsize_mean, 1e-12);
+    Rng rng(5);
+    const PhaseLevels lv = model.activeLevels(1.0, rng);
+    EXPECT_GT(lv.sm, 0.0);
+    EXPECT_LE(lv.sm, natural_ceiling);
+}
+
 TEST(UtilizationModel, NoisySampleHandlesEdges)
 {
     Rng rng(4);

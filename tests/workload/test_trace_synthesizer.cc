@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "aiwc/obs/metrics.hh"
 #include "aiwc/workload/trace_synthesizer.hh"
 
 namespace aiwc::workload
@@ -189,6 +190,58 @@ TEST(TraceSynthesizer, RunReplicatesMatchesPerSeedRuns)
     }
     // Distinct seeds gave distinct traces.
     EXPECT_NE(replicates[0].dataset.size(), replicates[1].dataset.size());
+}
+
+/** The telemetry counters' values, read before and after a run. */
+struct TelemetryCounters
+{
+    std::uint64_t jobs = 0;
+    std::uint64_t samples = 0;
+    std::uint64_t detailed = 0;
+
+    static TelemetryCounters
+    read()
+    {
+        auto &registry = obs::MetricsRegistry::global();
+        return {registry.counter("aiwc.workload.telemetry_jobs").value(),
+                registry.counter("aiwc.workload.telemetry_samples").value(),
+                registry.counter("aiwc.workload.telemetry_detailed_jobs")
+                    .value()};
+    }
+};
+
+TEST(TraceSynthesizer, TelemetryCountersMatchTheRecords)
+{
+    const auto before = TelemetryCounters::read();
+    const auto result = smallTrace();
+    const auto after = TelemetryCounters::read();
+
+    std::uint64_t sampled = 0, detailed = 0;
+    for (const auto &r : result.dataset.records()) {
+        sampled += r.isGpuJob() && r.runTime() > 0.0;
+        detailed += r.has_timeseries;
+    }
+    ASSERT_GT(sampled, 0u);
+    EXPECT_EQ(after.jobs - before.jobs, sampled);
+    EXPECT_EQ(after.detailed - before.detailed, detailed);
+    // Every sampled job draws at least one sample per GPU.
+    EXPECT_GT(after.samples - before.samples, sampled);
+}
+
+TEST(TraceSynthesizer, TelemetryCountersStayZeroWithoutTelemetry)
+{
+    static const auto profile = CalibrationProfile::supercloud();
+    SynthesisOptions options;
+    options.scale = 0.02;
+    options.telemetry = false;
+    const auto before = TelemetryCounters::read();
+    const auto result = TraceSynthesizer(profile, options).run();
+    const auto after = TelemetryCounters::read();
+
+    ASSERT_GT(result.dataset.size(), 0u);
+    EXPECT_EQ(after.jobs, before.jobs);
+    EXPECT_EQ(after.samples, before.samples);
+    EXPECT_EQ(after.detailed, before.detailed);
 }
 
 } // namespace
