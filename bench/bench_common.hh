@@ -143,7 +143,7 @@ printBanner(std::ostream &os, const char *figure)
     os << "aiwc reproduction bench: " << figure << "\n"
        << "synthetic study: scale " << benchScale() << ", seed "
        << benchSeed() << ", " << result.dataset.size() << " jobs ("
-       << result.dataset.gpuJobs().size() << " GPU jobs >= 30 s), "
+       << result.dataset.gpuJobIndices().size() << " GPU jobs >= 30 s), "
        << result.num_users << " users, " << result.cluster_nodes
        << " nodes\n"
        << "analysis threads: " << globalThreadCount() << "\n\n";

@@ -31,7 +31,7 @@ printFigure(std::ostream &os)
           static_cast<double>(result.dataset.size()), 0);
     a.row("GPU jobs after 30 s filter",
           paper::gpu_jobs_after_filter * scale,
-          static_cast<double>(result.dataset.gpuJobs().size()), 0);
+          static_cast<double>(result.dataset.gpuJobIndices().size()), 0);
     a.row("users", std::max(10.0, paper::users * scale),
           static_cast<double>(result.num_users), 0);
     a.row("time-series subset",

@@ -85,7 +85,7 @@ std::uint64_t
 digestFilter(const core::Dataset &data)
 {
     std::uint64_t h = fnv_offset;
-    fold(h, static_cast<double>(data.gpuJobs().size()));
+    fold(h, static_cast<double>(data.gpuJobIndices().size()));
     fold(h, static_cast<double>(data.uniqueUsers()));
     fold(h, data.totalGpuHours());
     return h;

@@ -34,7 +34,7 @@ main(int argc, char **argv)
     const auto result =
         workload::TraceSynthesizer(profile, options).run();
     const auto &dataset = result.dataset;
-    std::cout << dataset.gpuJobs().size() << " GPU jobs, "
+    std::cout << dataset.gpuJobIndices().size() << " GPU jobs, "
               << static_cast<long>(dataset.totalGpuHours())
               << " GPU-hours\n\n";
 

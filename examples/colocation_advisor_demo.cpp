@@ -28,18 +28,20 @@ main(int argc, char **argv)
     const auto result =
         workload::TraceSynthesizer(profile, options).run();
     const auto &dataset = result.dataset;
-    std::cout << "trace: " << dataset.gpuJobs().size()
+    std::cout << "trace: " << dataset.gpuJobIndices().size()
               << " GPU jobs >= 30 s, "
               << static_cast<long>(dataset.totalGpuHours())
               << " GPU-hours\n\n";
 
     std::cout << "-- interference model spot checks --\n";
     const opportunity::InterferenceModel model;
-    const auto jobs = dataset.gpuJobsWhere(
-        [](const core::JobRecord &j) { return j.gpus == 1; });
+    auto jobs = dataset.gpuJobIndices();
+    std::erase_if(jobs, [&](std::uint32_t i) {
+        return dataset.records()[i].gpus != 1;
+    });
     if (jobs.size() >= 2) {
-        const auto &a = *jobs[0];
-        const auto &b = *jobs[1];
+        const auto &a = dataset.records()[jobs[0]];
+        const auto &b = dataset.records()[jobs[1]];
         std::cout << "job " << a.id << " (SM "
                   << formatPercent(a.meanUtilization(Resource::Sm))
                   << ") + job " << b.id << " (SM "

@@ -65,7 +65,8 @@ main(int argc, char **argv)
 
     const auto result = synthesizer.run();
     std::cout << "jobs: " << result.dataset.size()
-              << " (GPU jobs >=30s: " << result.dataset.gpuJobs().size()
+              << " (GPU jobs >=30s: "
+              << result.dataset.gpuJobIndices().size()
               << "), GPU-hours: "
               << static_cast<long>(result.dataset.totalGpuHours())
               << ", backfilled starts: "

@@ -1,6 +1,9 @@
 #include "aiwc/core/csv_loader.hh"
 
+#include <array>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "aiwc/common/csv.hh"
@@ -9,7 +12,7 @@
 namespace aiwc::core
 {
 
-Interface
+std::optional<Interface>
 interfaceFromString(const std::string &name)
 {
     for (int i = 0; i < num_interfaces; ++i) {
@@ -17,10 +20,10 @@ interfaceFromString(const std::string &name)
         if (name == toString(iface))
             return iface;
     }
-    fatal("unknown interface name in CSV: '", name, "'");
+    return std::nullopt;
 }
 
-TerminalState
+std::optional<TerminalState>
 terminalFromString(const std::string &name)
 {
     for (int i = 0; i <= static_cast<int>(TerminalState::NodeFailure);
@@ -29,7 +32,7 @@ terminalFromString(const std::string &name)
         if (name == toString(state))
             return state;
     }
-    fatal("unknown terminal state in CSV: '", name, "'");
+    return std::nullopt;
 }
 
 namespace
@@ -61,12 +64,6 @@ enum Column : std::size_t
     kColumns,
 };
 
-double
-num(const std::vector<std::string> &cells, Column c)
-{
-    return std::strtod(cells[c].c_str(), nullptr);
-}
-
 /** Rebuild a metric summary from (mean, max); min defaults to 0. */
 stats::RunningSummary
 metric(double mean, double max)
@@ -76,6 +73,64 @@ metric(double mean, double max)
     const double lo = std::min(0.0, mean);
     return stats::RunningSummary::fromMoments(2, lo, mean,
                                               std::max(mean, max));
+}
+
+/** Largest GPU count one row may claim, as in the .aiwt decoder. */
+constexpr double max_gpus_per_row = 1024.0;
+
+/**
+ * Decode one data row into `r`. Returns an empty string on success,
+ * else why the row cannot be a job record.
+ */
+std::string
+decodeRow(const std::vector<std::string> &cells, JobRecord &r)
+{
+    // Every cell from kSubmit on is a number; parse each once.
+    std::array<double, kColumns> v{};
+    for (std::size_t c = kSubmit; c < kColumns; ++c) {
+        v[c] = std::strtod(cells[c].c_str(), nullptr);
+        if (!std::isfinite(v[c]))
+            return "non-finite value in column " + std::to_string(c + 1);
+    }
+    const auto iface = interfaceFromString(cells[kInterface]);
+    if (!iface)
+        return "unknown interface '" + cells[kInterface] + "'";
+    const auto terminal = terminalFromString(cells[kTerminal]);
+    if (!terminal)
+        return "unknown terminal state '" + cells[kTerminal] + "'";
+    if (v[kGpus] < 0.0 || v[kGpus] > max_gpus_per_row)
+        return "gpus out of range: " + cells[kGpus];
+    if (v[kCpuSlots] < 0.0 ||
+        v[kCpuSlots] > std::numeric_limits<int>::max())
+        return "cpu_slots out of range: " + cells[kCpuSlots];
+
+    r.id = static_cast<JobId>(
+        std::strtoul(cells[kJobId].c_str(), nullptr, 10));
+    r.user = static_cast<UserId>(
+        std::strtoul(cells[kUser].c_str(), nullptr, 10));
+    r.interface = *iface;
+    r.terminal = *terminal;
+    r.submit_time = v[kSubmit];
+    r.start_time = v[kStart];
+    r.end_time = v[kEnd];
+    r.gpus = static_cast<int>(v[kGpus]);
+    r.cpu_slots = static_cast<int>(v[kCpuSlots]);
+    r.ram_gb = v[kRamGb];
+
+    if (r.gpus > 0) {
+        // The summary CSV carries the across-GPU average; fan it back
+        // out so meanUtilization()/maxUtilization() agree with the
+        // original values.
+        GpuUsageSummary s;
+        s.sm = metric(v[kSmMean], v[kSmMax]);
+        s.membw = metric(v[kMembwMean], v[kMembwMax]);
+        s.memsize = metric(v[kMemsizeMean], v[kMemsizeMax]);
+        s.pcie_tx = metric(v[kPcieTxMean], v[kPcieTxMean]);
+        s.pcie_rx = metric(v[kPcieRxMean], v[kPcieRxMean]);
+        s.power_watts = metric(v[kPowerMeanW], v[kPowerMaxW]);
+        r.per_gpu.assign(static_cast<std::size_t>(r.gpus), s);
+    }
+    return {};
 }
 
 } // namespace
@@ -111,36 +166,9 @@ loadDatasetCsv(std::istream &is)
         }
 
         JobRecord r;
-        r.id = static_cast<JobId>(
-            std::strtoul(cells[kJobId].c_str(), nullptr, 10));
-        r.user = static_cast<UserId>(
-            std::strtoul(cells[kUser].c_str(), nullptr, 10));
-        r.interface = interfaceFromString(cells[kInterface]);
-        r.terminal = terminalFromString(cells[kTerminal]);
-        r.submit_time = num(cells, kSubmit);
-        r.start_time = num(cells, kStart);
-        r.end_time = num(cells, kEnd);
-        r.gpus = static_cast<int>(num(cells, kGpus));
-        r.cpu_slots = static_cast<int>(num(cells, kCpuSlots));
-        r.ram_gb = num(cells, kRamGb);
-
-        if (r.gpus > 0) {
-            // The summary CSV carries the across-GPU average; fan it
-            // back out so meanUtilization()/maxUtilization() agree
-            // with the original values.
-            GpuUsageSummary s;
-            s.sm = metric(num(cells, kSmMean), num(cells, kSmMax));
-            s.membw =
-                metric(num(cells, kMembwMean), num(cells, kMembwMax));
-            s.memsize = metric(num(cells, kMemsizeMean),
-                               num(cells, kMemsizeMax));
-            s.pcie_tx = metric(num(cells, kPcieTxMean),
-                               num(cells, kPcieTxMean));
-            s.pcie_rx = metric(num(cells, kPcieRxMean),
-                               num(cells, kPcieRxMean));
-            s.power_watts = metric(num(cells, kPowerMeanW),
-                                   num(cells, kPowerMaxW));
-            r.per_gpu.assign(static_cast<std::size_t>(r.gpus), s);
+        if (const std::string why = decodeRow(cells, r); !why.empty()) {
+            warn("skipping CSV line ", line_no, ": ", why);
+            continue;
         }
         dataset.add(std::move(r));
     }

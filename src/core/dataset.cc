@@ -7,20 +7,6 @@
 namespace aiwc::core
 {
 
-namespace
-{
-
-using RecordPtrs = std::vector<const JobRecord *>;
-
-/** Shard-order concatenation — the merge step for filter passes. */
-void
-appendShard(RecordPtrs &into, RecordPtrs &&from)
-{
-    into.insert(into.end(), from.begin(), from.end());
-}
-
-} // namespace
-
 Dataset::Dataset(std::vector<JobRecord> records)
     : records_(std::move(records))
 {
@@ -36,7 +22,7 @@ Dataset::add(JobRecord record)
 }
 
 std::vector<std::uint32_t>
-Dataset::gpuJobIndices(Seconds min_runtime) const
+Dataset::gpuJobIndices() const
 {
     using Indices = std::vector<std::uint32_t>;
     const std::span<const std::int32_t> gpus = cols_.gpus();
@@ -44,7 +30,7 @@ Dataset::gpuJobIndices(Seconds min_runtime) const
     return parallelReduce(
         globalPool(), cols_.rows(), Indices{},
         [&](Indices &acc, std::size_t i) {
-            if (gpus[i] > 0 && runtime[i] >= min_runtime)
+            if (gpus[i] > 0 && runtime[i] >= min_gpu_runtime)
                 acc.push_back(static_cast<std::uint32_t>(i));
         },
         [](Indices &into, Indices &&from) {
@@ -68,74 +54,6 @@ Dataset::cpuJobIndices() const
         });
 }
 
-std::vector<std::span<const JobRecord>>
-Dataset::shards() const
-{
-    const auto ranges = detail::shardRanges(records_.size());
-    std::vector<std::span<const JobRecord>> out;
-    out.reserve(ranges.size());
-    for (const auto &r : ranges)
-        out.push_back(std::span<const JobRecord>(records_)
-                          .subspan(r.begin, r.end - r.begin));
-    return out;
-}
-
-std::vector<const JobRecord *>
-Dataset::gpuJobs(Seconds min_runtime) const
-{
-    // Filter on the columns (two contiguous arrays instead of a
-    // record walk), then materialize the row view for callers.
-    const auto idx = gpuJobIndices(min_runtime);
-    RecordPtrs out(idx.size());
-    for (std::size_t i = 0; i < idx.size(); ++i)
-        out[i] = &records_[idx[i]];
-    return out;
-}
-
-std::vector<const JobRecord *>
-Dataset::cpuJobs() const
-{
-    const auto idx = cpuJobIndices();
-    RecordPtrs out(idx.size());
-    for (std::size_t i = 0; i < idx.size(); ++i)
-        out[i] = &records_[idx[i]];
-    return out;
-}
-
-std::vector<const JobRecord *>
-Dataset::gpuJobsWhere(const std::function<bool(const JobRecord &)> &pred,
-                      Seconds min_runtime) const
-{
-    return parallelReduce(
-        globalPool(), records_.size(), RecordPtrs{},
-        [&](RecordPtrs &acc, std::size_t i) {
-            const JobRecord &r = records_[i];
-            if (r.isGpuJob() && r.runTime() >= min_runtime && pred(r))
-                acc.push_back(&r);
-        },
-        appendShard);
-}
-
-std::map<UserId, std::vector<const JobRecord *>>
-Dataset::gpuJobsByUser(Seconds min_runtime) const
-{
-    using ByUser = std::map<UserId, std::vector<const JobRecord *>>;
-    return parallelReduce(
-        globalPool(), records_.size(), ByUser{},
-        [&](ByUser &acc, std::size_t i) {
-            const JobRecord &r = records_[i];
-            if (r.isGpuJob() && r.runTime() >= min_runtime)
-                acc[r.user].push_back(&r);
-        },
-        [](ByUser &into, ByUser &&from) {
-            // Shard-order merge keeps each user's jobs in record order.
-            for (auto &[user, jobs] : from) {
-                auto &dst = into[user];
-                dst.insert(dst.end(), jobs.begin(), jobs.end());
-            }
-        });
-}
-
 std::size_t
 Dataset::uniqueUsers() const
 {
@@ -144,7 +62,7 @@ Dataset::uniqueUsers() const
 }
 
 double
-Dataset::totalGpuHours(Seconds min_runtime) const
+Dataset::totalGpuHours() const
 {
     const std::span<const std::int32_t> gpus = cols_.gpus();
     const std::span<const double> runtime = cols_.runtimeS();
@@ -152,7 +70,7 @@ Dataset::totalGpuHours(Seconds min_runtime) const
     return parallelReduce(
         globalPool(), cols_.rows(), 0.0,
         [&](double &acc, std::size_t i) {
-            if (gpus[i] > 0 && runtime[i] >= min_runtime)
+            if (gpus[i] > 0 && runtime[i] >= min_gpu_runtime)
                 acc += hours[i];
         },
         [](double &into, double &&from) { into += from; });

@@ -53,9 +53,9 @@ LifecycleReport
 LifecycleAnalyzer::analyze(const Dataset &dataset) const
 {
     LifecycleReport report;
-    const auto jobs = dataset.gpuJobs();
-    obs::AnalyzerScope scope("lifecycle", jobs.size());
-    if (jobs.empty())
+    const auto idx = dataset.gpuJobIndices();
+    obs::AnalyzerScope scope("lifecycle", idx.size());
+    if (idx.empty())
         return report;
 
     // Per-shard accumulator: per-class tallies plus per-user shares.
@@ -72,28 +72,28 @@ LifecycleAnalyzer::analyze(const Dataset &dataset) const
         double total_hours = 0.0;
     };
     Tally tally = parallelReduce(
-        globalPool(), jobs.size(), Tally{},
+        globalPool(), idx.size(), Tally{},
         [&](Tally &acc, std::size_t k) {
-            const JobRecord *job = jobs[k];
-            const Lifecycle c = classifier_.classify(*job);
+            const JobRecord &job = dataset.records()[idx[k]];
+            const Lifecycle c = classifier_.classify(job);
             const auto i = static_cast<std::size_t>(c);
             acc.count[i] += 1.0;
-            acc.hours[i] += job->gpuHours();
-            acc.total_hours += job->gpuHours();
-            acc.runtimes[i].push_back(job->runTime() / 60.0);
+            acc.hours[i] += job.gpuHours();
+            acc.total_hours += job.gpuHours();
+            acc.runtimes[i].push_back(job.runTime() / 60.0);
             acc.sm[i].push_back(100.0 *
-                                job->meanUtilization(Resource::Sm));
+                                job.meanUtilization(Resource::Sm));
             acc.membw[i].push_back(
-                100.0 * job->meanUtilization(Resource::MemoryBw));
+                100.0 * job.meanUtilization(Resource::MemoryBw));
             acc.memsize[i].push_back(
-                100.0 * job->meanUtilization(Resource::MemorySize));
+                100.0 * job.meanUtilization(Resource::MemorySize));
 
-            auto &u = acc.per_user[job->user];
-            u.user = job->user;
+            auto &u = acc.per_user[job.user];
+            u.user = job.user;
             ++u.jobs;
-            u.gpu_hours += job->gpuHours();
+            u.gpu_hours += job.gpuHours();
             u.job_share[i] += 1.0;
-            u.hour_share[i] += job->gpuHours();
+            u.hour_share[i] += job.gpuHours();
         },
         [](Tally &into, Tally &&from) {
             auto concat = [](std::vector<double> &dst,
@@ -132,7 +132,7 @@ LifecycleAnalyzer::analyze(const Dataset &dataset) const
     auto &per_user = tally.per_user;
     const double total_hours = tally.total_hours;
 
-    const auto n = static_cast<double>(jobs.size());
+    const auto n = static_cast<double>(idx.size());
     for (int c = 0; c < num_lifecycles; ++c) {
         const auto i = static_cast<std::size_t>(c);
         report.job_mix[i] = count[i] / n;

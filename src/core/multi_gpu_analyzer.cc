@@ -62,9 +62,9 @@ MultiGpuReport
 MultiGpuAnalyzer::analyze(const Dataset &dataset) const
 {
     MultiGpuReport report;
-    const auto jobs = dataset.gpuJobs();
-    obs::AnalyzerScope scope("multi_gpu", jobs.size());
-    if (jobs.empty())
+    const auto idx = dataset.gpuJobIndices();
+    obs::AnalyzerScope scope("multi_gpu", idx.size());
+    if (idx.empty())
         return report;
 
     std::array<double, num_size_buckets> job_count{};
@@ -77,34 +77,35 @@ MultiGpuAnalyzer::analyze(const Dataset &dataset) const
     double multi_jobs = 0.0, idle_multi_jobs = 0.0;
     double total_hours = 0.0;
 
-    for (const JobRecord *job : jobs) {
-        const int bucket = sizeBucketOf(job->gpus);
+    for (const std::uint32_t i : idx) {
+        const JobRecord &job = dataset.records()[i];
+        const int bucket = sizeBucketOf(job.gpus);
         const auto b = static_cast<std::size_t>(bucket);
         job_count[b] += 1.0;
-        hours[b] += job->gpuHours();
-        total_hours += job->gpuHours();
-        waits[b].push_back(job->waitTime());
+        hours[b] += job.gpuHours();
+        total_hours += job.gpuHours();
+        waits[b].push_back(job.waitTime());
 
-        auto &mx = user_max_gpus[job->user];
-        mx = std::max(mx, job->gpus);
+        auto &mx = user_max_gpus[job.user];
+        mx = std::max(mx, job.gpus);
 
-        if (job->gpus < 2)
+        if (job.gpus < 2)
             continue;
         multi_jobs += 1.0;
-        if (job->idleGpuCount() * 2 >= job->gpus)
+        if (job.idleGpuCount() * 2 >= job.gpus)
             idle_multi_jobs += 1.0;
 
-        sm_all.push_back(acrossGpuCov(*job, Resource::Sm, false));
-        membw_all.push_back(acrossGpuCov(*job, Resource::MemoryBw, false));
+        sm_all.push_back(acrossGpuCov(job, Resource::Sm, false));
+        membw_all.push_back(acrossGpuCov(job, Resource::MemoryBw, false));
         memsize_all.push_back(
-            acrossGpuCov(*job, Resource::MemorySize, false));
-        sm_act.push_back(acrossGpuCov(*job, Resource::Sm, true));
-        membw_act.push_back(acrossGpuCov(*job, Resource::MemoryBw, true));
+            acrossGpuCov(job, Resource::MemorySize, false));
+        sm_act.push_back(acrossGpuCov(job, Resource::Sm, true));
+        membw_act.push_back(acrossGpuCov(job, Resource::MemoryBw, true));
         memsize_act.push_back(
-            acrossGpuCov(*job, Resource::MemorySize, true));
+            acrossGpuCov(job, Resource::MemorySize, true));
     }
 
-    const auto n = static_cast<double>(jobs.size());
+    const auto n = static_cast<double>(idx.size());
     for (int b = 0; b < num_size_buckets; ++b) {
         const auto i = static_cast<std::size_t>(b);
         report.job_fraction[i] = job_count[i] / n;

@@ -11,14 +11,16 @@ namespace aiwc::core
 PhaseReport
 PhaseAnalyzer::analyze(const Dataset &dataset) const
 {
-    obs::AnalyzerScope scope("phase", dataset.gpuJobs().size());
+    const auto idx = dataset.gpuJobIndices();
+    obs::AnalyzerScope scope("phase", idx.size());
     std::vector<double> active_frac, idle_cov, active_cov, sm_cov,
         membw_cov, memsize_cov;
 
-    for (const JobRecord *job : dataset.gpuJobs()) {
-        if (!job->has_timeseries)
+    for (const std::uint32_t i : idx) {
+        const JobRecord &job = dataset.records()[i];
+        if (!job.has_timeseries)
             continue;
-        const PhaseStats &ps = job->phases;
+        const PhaseStats &ps = job.phases;
         active_frac.push_back(100.0 * ps.active_fraction);
         // covPercent is NaN for zero-mean series; interval lengths are
         // positive so that cannot trigger here, but the sampled

@@ -13,8 +13,9 @@
  * Derived columns are computed in append(), with exactly the
  * arithmetic (and evaluation order) of the JobRecord methods they
  * mirror, so a columnar kernel and a row walk produce bit-identical
- * doubles. The Dataset owns one ColumnTable and keeps it in lockstep
- * with its record vector; rows() always equals Dataset::size().
+ * doubles. Dataset::add() appends each record to both the record
+ * vector and the Dataset's one ColumnTable, so rows() always equals
+ * Dataset::size() and a row index means the same job in both.
  */
 
 #pragma once

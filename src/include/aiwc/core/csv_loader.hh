@@ -14,6 +14,8 @@
 #pragma once
 
 #include <istream>
+#include <optional>
+#include <string>
 
 #include "aiwc/core/dataset.hh"
 
@@ -22,16 +24,18 @@ namespace aiwc::core
 
 /**
  * Parse a dataset from the writeCsv format.
- * Throws nothing; calls fatal() on malformed headers, skips (with a
- * warning) rows with the wrong cell count.
+ * Throws nothing; calls fatal() on malformed headers. Skips, with a
+ * warning, every data row that cannot be a job record: a wrong cell
+ * count, a non-finite number, an unknown interface or terminal name,
+ * or a gpus count outside [0, 1024] or cpu_slots below 0.
  */
 Dataset loadDatasetCsv(std::istream &is);
 
-/** Parse an Interface name as written by toString(). */
-Interface interfaceFromString(const std::string &name);
+/** Parse an Interface name as written by toString(); nullopt if unknown. */
+std::optional<Interface> interfaceFromString(const std::string &name);
 
-/** Parse a TerminalState name as written by toString(). */
-TerminalState terminalFromString(const std::string &name);
+/** Parse a TerminalState name as written by toString(); nullopt if unknown. */
+std::optional<TerminalState> terminalFromString(const std::string &name);
 
 } // namespace aiwc::core
 

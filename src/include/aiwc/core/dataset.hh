@@ -1,7 +1,7 @@
 /**
  * @file
- * The study dataset: every merged job record plus the filters and
- * group-bys the analyzers share.
+ * The study dataset: every merged job record plus the GPU/CPU job
+ * selection the analyzers share.
  *
  * Mirrors the paper's methodology (Sec. II): the raw dataset holds all
  * submissions; GPU analysis considers only GPU jobs that ran at least
@@ -11,10 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <ostream>
-#include <span>
 #include <vector>
 
 #include "aiwc/core/columns.hh"
@@ -23,16 +20,18 @@
 namespace aiwc::core
 {
 
+/** GPU jobs that ran less than this are left out of every analysis. */
+inline constexpr Seconds min_gpu_runtime = 30.0;
+
 /**
  * The collection of job records for one study period.
  *
- * Storage is dual-layout: the row vector (records()) remains the API
- * for callers that walk whole records, while a struct-of-arrays
- * ColumnTable (columns()) mirrors every scalar field for the
- * analyzers' columnar kernels. Both views are kept in lockstep by
- * add(); filters hand out row indices (gpuJobIndices) that address
- * either view, so migrated and unmigrated callers see the same rows
- * in the same order.
+ * add() stores each record twice: whole, in records(), and field by
+ * field, in the struct-of-arrays ColumnTable (columns()). Jobs are
+ * selected one way: gpuJobIndices() and cpuJobIndices() return row
+ * indices in record order, valid in both views. Callers read scalar
+ * fields through columns() and index records() only for what the
+ * columns do not carry (per_gpu, phases) or for a JobRecord method.
  */
 class Dataset
 {
@@ -50,46 +49,19 @@ class Dataset
     const ColumnTable &columns() const { return cols_; }
 
     /**
-     * Row indices of GPU jobs with runtime >= min_runtime (the
-     * paper's filter), in record order. The columnar analog of
-     * gpuJobs(): index either view with the result.
+     * Row indices of GPU jobs that ran at least min_gpu_runtime (the
+     * paper's filter), in record order.
      */
-    std::vector<std::uint32_t>
-    gpuJobIndices(Seconds min_runtime = 30.0) const;
+    std::vector<std::uint32_t> gpuJobIndices() const;
 
-    /** Row indices of CPU-only jobs, in record order. */
+    /** Row indices of CPU-only jobs (no runtime filter), in record order. */
     std::vector<std::uint32_t> cpuJobIndices() const;
-
-    /**
-     * Deterministic contiguous shard views over all records, in record
-     * order. The shard geometry depends only on the record count (see
-     * aiwc/common/parallel.hh), so per-shard passes merged in shard
-     * order reproduce the serial result bit-for-bit regardless of how
-     * many threads executed them.
-     */
-    std::vector<std::span<const JobRecord>> shards() const;
-
-    /** All GPU jobs with runtime >= min_runtime (the paper's filter). */
-    std::vector<const JobRecord *>
-    gpuJobs(Seconds min_runtime = 30.0) const;
-
-    /** All CPU-only jobs (no runtime filter; used only in Fig. 3). */
-    std::vector<const JobRecord *> cpuJobs() const;
-
-    /** GPU jobs matching a predicate (after the 30 s filter). */
-    std::vector<const JobRecord *>
-    gpuJobsWhere(const std::function<bool(const JobRecord &)> &pred,
-                 Seconds min_runtime = 30.0) const;
-
-    /** Filtered GPU jobs grouped by user, ordered by user id. */
-    std::map<UserId, std::vector<const JobRecord *>>
-    gpuJobsByUser(Seconds min_runtime = 30.0) const;
 
     /** Number of distinct users across all records. */
     std::size_t uniqueUsers() const;
 
-    /** Total GPU-hours over filtered GPU jobs. */
-    double totalGpuHours(Seconds min_runtime = 30.0) const;
+    /** Total GPU-hours over the gpuJobIndices() rows. */
+    double totalGpuHours() const;
 
     /**
      * Export the per-job summary table as CSV (one row per record),

@@ -38,10 +38,11 @@ CheckpointPlanner::evaluate(const core::Dataset &dataset,
     plan.write_cost_s = write_cost_s;
 
     double total_hours = 0.0;
-    for (const core::JobRecord *job : dataset.gpuJobs()) {
-        const double runtime = job->runTime();
-        const double gpus = static_cast<double>(job->gpus);
-        total_hours += job->gpuHours();
+    for (const std::uint32_t i : dataset.gpuJobIndices()) {
+        const core::JobRecord &job = dataset.records()[i];
+        const double runtime = job.runTime();
+        const double gpus = static_cast<double>(job.gpus);
+        total_hours += job.gpuHours();
 
         // Every job pays the write overhead for each checkpoint taken;
         // a checkpoint falling exactly at job end is never written.
@@ -50,10 +51,10 @@ CheckpointPlanner::evaluate(const core::Dataset &dataset,
         plan.overhead_hours +=
             checkpoints * write_cost_s * gpus / 3600.0;
 
-        if (!losesState(*job))
+        if (!losesState(job))
             continue;
         // Without checkpointing, the whole run's state evaporates.
-        plan.lost_hours_baseline += job->gpuHours();
+        plan.lost_hours_baseline += job.gpuHours();
         // With it, only work since the last checkpoint is lost —
         // interval/2 in expectation, capped by the runtime itself.
         const double residual = std::min(runtime, interval_s / 2.0);

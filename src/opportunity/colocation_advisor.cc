@@ -39,11 +39,14 @@ ColocationAdvisor::analyze(const core::Dataset &dataset) const
     ColocationReport report;
 
     // Candidates: single-GPU jobs, replayed in start order.
-    auto jobs = dataset.gpuJobsWhere(
-        [](const core::JobRecord &j) { return j.gpus == 1; });
+    const std::span<const std::int32_t> gpu_count =
+        dataset.columns().gpus();
+    const std::span<const double> start = dataset.columns().startTime();
+    auto jobs = dataset.gpuJobIndices();
+    std::erase_if(jobs, [&](std::uint32_t i) { return gpu_count[i] != 1; });
     std::sort(jobs.begin(), jobs.end(),
-              [](const core::JobRecord *a, const core::JobRecord *b) {
-                  return a->start_time < b->start_time;
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return start[a] < start[b];
               });
     report.gpu_jobs = jobs.size();
     if (jobs.empty())
@@ -59,20 +62,21 @@ ColocationAdvisor::analyze(const core::Dataset &dataset) const
     double saved_hours = 0.0, total_hours = 0.0;
     std::size_t paired = 0;
 
-    for (const core::JobRecord *job : jobs) {
-        total_hours += job->gpuHours();
+    for (const std::uint32_t i : jobs) {
+        const core::JobRecord &job = dataset.records()[i];
+        total_hours += job.gpuHours();
         // Retire finished residents.
         std::erase_if(running, [&](const Resident &r) {
-            return r.job->end_time <= job->start_time;
+            return r.job->end_time <= job.start_time;
         });
 
         // Find the best (lowest-slowdown) unpaired partner.
         Resident *best = nullptr;
         double best_slowdown = max_slowdown_;
         for (auto &r : running) {
-            if (r.paired || !model_.fits(*r.job, *job))
+            if (r.paired || !model_.fits(*r.job, job))
                 continue;
-            const double s = model_.pairSlowdown(*r.job, *job);
+            const double s = model_.pairSlowdown(*r.job, job);
             if (s <= best_slowdown) {
                 best = &r;
                 best_slowdown = s;
@@ -84,12 +88,12 @@ ColocationAdvisor::analyze(const core::Dataset &dataset) const
             slowdowns.push_back(best_slowdown);
             // The overlap runs on one GPU instead of two.
             const double overlap =
-                std::min(best->job->end_time, job->end_time) -
-                job->start_time;
+                std::min(best->job->end_time, job.end_time) -
+                job.start_time;
             saved_hours += std::max(overlap, 0.0) / 3600.0;
             // The arriving job rides along; it does not join the pool.
         } else {
-            running.push_back(Resident{job, false});
+            running.push_back(Resident{&job, false});
         }
     }
 

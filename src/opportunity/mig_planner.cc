@@ -34,11 +34,14 @@ MigPlanner::plan(const core::Dataset &dataset) const
     out.slices_per_gpu = slices_per_gpu_;
 
     // Candidates: single-GPU jobs in start order.
-    auto jobs = dataset.gpuJobsWhere(
-        [](const core::JobRecord &j) { return j.gpus == 1; });
+    const std::span<const std::int32_t> gpu_count =
+        dataset.columns().gpus();
+    const std::span<const double> start = dataset.columns().startTime();
+    auto jobs = dataset.gpuJobIndices();
+    std::erase_if(jobs, [&](std::uint32_t i) { return gpu_count[i] != 1; });
     std::sort(jobs.begin(), jobs.end(),
-              [](const core::JobRecord *a, const core::JobRecord *b) {
-                  return a->start_time < b->start_time;
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return start[a] < start[b];
               });
     out.jobs = jobs.size();
     if (jobs.empty())
@@ -76,9 +79,10 @@ MigPlanner::plan(const core::Dataset &dataset) const
         }
     };
 
-    for (const core::JobRecord *job : jobs) {
-        retire(job->start_time);
-        const int need = slicesFor(*job);
+    for (const std::uint32_t i : jobs) {
+        const core::JobRecord &job = dataset.records()[i];
+        retire(job.start_time);
+        const int need = slicesFor(job);
         slice_sum += need;
         if (need == slices_per_gpu_)
             out.full_gpu_jobs += 1.0;
@@ -105,7 +109,7 @@ MigPlanner::plan(const core::Dataset &dataset) const
         }
         gpu.free -= need;
         gpu.resident_jobs += 1;
-        running.push_back(Resident{job->end_time, best, need});
+        running.push_back(Resident{job.end_time, best, need});
         ++exclusive_running;
 
         int in_use = 0;

@@ -38,16 +38,17 @@ MultiTierPlanner::plan(const core::Dataset &dataset) const
     double total_hours = 0.0, shifted_hours = 0.0;
     double slow_sum = 0.0;
     std::size_t shifted = 0;
-    for (const core::JobRecord *job : dataset.gpuJobs()) {
-        const double hours = job->gpuHours();
+    for (const std::uint32_t i : dataset.gpuJobIndices()) {
+        const core::JobRecord &job = dataset.records()[i];
+        const double hours = job.gpuHours();
         total_hours += hours;
-        if (!shouldShift(*job))
+        if (!shouldShift(job))
             continue;
         shifted_hours += hours;
-        slow_sum += jobSlowdown(*job);
+        slow_sum += jobSlowdown(job);
         ++shifted;
         out.shifted_jobs[static_cast<std::size_t>(
-            classifier_.classify(*job))] += 1.0;
+            classifier_.classify(job))] += 1.0;
     }
     if (total_hours <= 0.0)
         return out;

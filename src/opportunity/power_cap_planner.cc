@@ -32,29 +32,30 @@ PowerCapPlanner::plan(const core::Dataset &dataset,
                       const std::vector<double> &caps) const
 {
     std::vector<PowerCapPlan> plans;
-    const auto jobs = dataset.gpuJobs();
+    const auto idx = dataset.gpuJobIndices();
     for (double cap : caps) {
         PowerCapPlan p;
         p.cap_watts = cap;
         p.gpu_multiplier = tdp_watts_ / cap;
-        if (jobs.empty()) {
+        if (idx.empty()) {
             plans.push_back(p);
             continue;
         }
         double unimpacted = 0.0, by_avg = 0.0;
         double slow_sum = 0.0, w_slow_sum = 0.0, w_sum = 0.0;
-        for (const core::JobRecord *job : jobs) {
-            const double s = jobSlowdown(*job, cap);
+        for (const std::uint32_t i : idx) {
+            const core::JobRecord &job = dataset.records()[i];
+            const double s = jobSlowdown(job, cap);
             slow_sum += s;
-            const double w = std::max(job->gpuHours(), 1e-9);
+            const double w = std::max(job.gpuHours(), 1e-9);
             w_slow_sum += s * w;
             w_sum += w;
-            if (job->maxPowerWatts() <= cap)
+            if (job.maxPowerWatts() <= cap)
                 unimpacted += 1.0;
-            if (job->meanPowerWatts() > cap)
+            if (job.meanPowerWatts() > cap)
                 by_avg += 1.0;
         }
-        const auto n = static_cast<double>(jobs.size());
+        const auto n = static_cast<double>(idx.size());
         p.unimpacted = unimpacted / n;
         p.impacted_by_avg = by_avg / n;
         p.mean_slowdown = slow_sum / n;

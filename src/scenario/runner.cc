@@ -69,7 +69,7 @@ computeOverlay(const core::Dataset &slice, const MachineClassSpec &cls,
                std::size_t min_gpu_jobs)
 {
     PlannerOverlay overlay;
-    if (slice.records().size() < min_gpu_jobs || cls.gpus == 0)
+    if (slice.size() < min_gpu_jobs || cls.gpus == 0)
         return overlay;
     const double tdp = cls.gpu_tdp_watts;
     const opportunity::PowerCapPlanner capper(tdp);

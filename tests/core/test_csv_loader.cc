@@ -76,21 +76,42 @@ TEST(CsvLoader, RoundTripPreservesUtilizationStatistics)
 TEST(CsvLoader, CpuJobsLoadWithoutGpuSummaries)
 {
     const Dataset loaded = roundTrip(originalDataset());
-    const auto cpu = loaded.cpuJobs();
+    const auto cpu = loaded.cpuJobIndices();
     ASSERT_EQ(cpu.size(), 1u);
-    EXPECT_TRUE(cpu[0]->per_gpu.empty());
+    EXPECT_TRUE(loaded.records()[cpu[0]].per_gpu.empty());
 }
 
 TEST(CsvLoader, SkipsMalformedRows)
 {
-    Dataset ds = originalDataset();
+    // Each row is appended to a valid export on its own; the loader
+    // must drop it with a warning and keep every valid row.
+    const Dataset ds = originalDataset();
+    const char *const rows[] = {
+        "not,a,valid,row",
+        // nan in sm_mean
+        "9,9,batch,completed,0,0,60,1,2,4,nan,0.5,0,0,0,0,0,0,0,0",
+        // inf in end_s
+        "9,9,batch,completed,0,0,inf,1,2,4,0.1,0.5,0,0,0,0,0,0,0,0",
+        "9,9,telnet,completed,0,0,60,1,2,4,0.1,0.5,0,0,0,0,0,0,0,0",
+        "9,9,batch,exploded,0,0,60,1,2,4,0.1,0.5,0,0,0,0,0,0,0,0",
+        "9,9,batch,completed,0,0,60,-1,2,4,0.1,0.5,0,0,0,0,0,0,0,0",
+        "9,9,batch,completed,0,0,60,1025,2,4,0.1,0.5,0,0,0,0,0,0,0,0",
+        "9,9,batch,completed,0,0,60,0,-4,4,0,0,0,0,0,0,0,0,0,0",
+    };
+    for (const char *row : rows) {
+        SCOPED_TRACE(row);
+        std::stringstream buffer;
+        ds.writeCsv(buffer);
+        buffer << row << '\n';
+        const Dataset loaded = loadDatasetCsv(buffer);
+        EXPECT_EQ(loaded.size(), ds.size());  // the bad row is dropped
+    }
+    // The same row with valid cells loads, so each rejection above is
+    // down to its one bad cell.
     std::stringstream buffer;
     ds.writeCsv(buffer);
-    buffer.clear();
-    buffer.seekp(0, std::ios::end);
-    buffer << "not,a,valid,row\n";
-    const Dataset loaded = loadDatasetCsv(buffer);
-    EXPECT_EQ(loaded.size(), ds.size());  // the junk row is dropped
+    buffer << "9,9,batch,completed,0,0,60,1,2,4,0.1,0.5,0,0,0,0,0,0,0,0\n";
+    EXPECT_EQ(loadDatasetCsv(buffer).size(), ds.size() + 1);
 }
 
 TEST(CsvLoader, SkipsRowsWithUnterminatedQuote)
@@ -170,6 +191,8 @@ TEST(CsvLoader, EnumParsersRoundTrip)
         const auto state = static_cast<TerminalState>(i);
         EXPECT_EQ(terminalFromString(toString(state)), state);
     }
+    EXPECT_FALSE(interfaceFromString("telnet"));
+    EXPECT_FALSE(terminalFromString("exploded"));
 }
 
 TEST(CsvLoader, ParseCsvLineHandlesQuoting)
@@ -198,7 +221,7 @@ TEST(CsvLoader, AnalyzersAgreeAfterRoundTrip)
     const Dataset original = originalDataset();
     const Dataset loaded = roundTrip(original);
     EXPECT_NEAR(loaded.totalGpuHours(), original.totalGpuHours(), 1e-3);
-    EXPECT_EQ(loaded.gpuJobs().size(), original.gpuJobs().size());
+    EXPECT_EQ(loaded.gpuJobIndices(), original.gpuJobIndices());
     EXPECT_EQ(loaded.uniqueUsers(), original.uniqueUsers());
 }
 

@@ -26,29 +26,14 @@ mixedDataset()
 
 TEST(Dataset, ThirtySecondFilterApplies)
 {
-    const Dataset ds = mixedDataset();
-    EXPECT_EQ(ds.size(), 5u);
-    EXPECT_EQ(ds.gpuJobs().size(), 2u);       // job 2 filtered
-    EXPECT_EQ(ds.gpuJobs(0.0).size(), 3u);    // no filter
-    EXPECT_EQ(ds.cpuJobs().size(), 2u);       // CPU jobs unfiltered
-}
-
-TEST(Dataset, PredicateFilter)
-{
-    const Dataset ds = mixedDataset();
-    const auto multi = ds.gpuJobsWhere(
-        [](const JobRecord &r) { return r.gpus >= 2; });
-    ASSERT_EQ(multi.size(), 1u);
-    EXPECT_EQ(multi[0]->id, 3u);
-}
-
-TEST(Dataset, GroupByUser)
-{
-    const Dataset ds = mixedDataset();
-    const auto by_user = ds.gpuJobsByUser();
-    ASSERT_EQ(by_user.size(), 2u);
-    EXPECT_EQ(by_user.at(0).size(), 1u);
-    EXPECT_EQ(by_user.at(1).size(), 1u);
+    Dataset ds = mixedDataset();
+    ds.add(gpuRecord(6, 2, 30.0));  // exactly 30 s: kept
+    ds.add(gpuRecord(7, 2, 29.9));  // just under: dropped
+    EXPECT_EQ(ds.size(), 7u);
+    // Rows 1 (10 s) and 6 (29.9 s) are filtered out.
+    EXPECT_EQ(ds.gpuJobIndices(), (std::vector<std::uint32_t>{0, 2, 5}));
+    // CPU jobs are unfiltered: row 4 ran only 5 s.
+    EXPECT_EQ(ds.cpuJobIndices(), (std::vector<std::uint32_t>{3, 4}));
 }
 
 TEST(Dataset, UniqueUsersCountsAllRecords)
@@ -85,28 +70,6 @@ TEST(Dataset, ConstructFromVector)
     const Dataset ds(std::move(records));
     EXPECT_EQ(ds.size(), 1u);
     EXPECT_FALSE(ds.empty());
-}
-
-TEST(Dataset, ShardsPartitionTheRecordsInOrder)
-{
-    const Dataset ds = mixedDataset();
-    const auto shards = ds.shards();
-    ASSERT_FALSE(shards.empty());
-    std::size_t i = 0;
-    for (const auto &shard : shards) {
-        for (const JobRecord &r : shard) {
-            ASSERT_LT(i, ds.size());
-            EXPECT_EQ(&r, &ds.records()[i]);
-            ++i;
-        }
-    }
-    EXPECT_EQ(i, ds.size());
-}
-
-TEST(Dataset, EmptyDatasetHasNoShards)
-{
-    const Dataset ds;
-    EXPECT_TRUE(ds.shards().empty());
 }
 
 } // namespace

@@ -150,7 +150,7 @@ TEST(AnalyzerInvariants, UserSummariesCoverEveryGpuUser)
         EXPECT_GE(u.gpu_hours, 0.0);
         total_jobs += u.jobs;
     }
-    EXPECT_EQ(total_jobs, dataset().gpuJobs().size());
+    EXPECT_EQ(total_jobs, dataset().gpuJobIndices().size());
 }
 
 TEST(AnalyzerInvariants, TimelineBusyBoundedByFleet)

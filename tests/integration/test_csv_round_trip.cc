@@ -50,8 +50,8 @@ TEST(CsvRoundTrip, SizesMatch)
 {
     const auto &[original, loaded] = datasets();
     EXPECT_EQ(loaded.size(), original.size());
-    EXPECT_EQ(loaded.gpuJobs().size(), original.gpuJobs().size());
-    EXPECT_EQ(loaded.cpuJobs().size(), original.cpuJobs().size());
+    EXPECT_EQ(loaded.gpuJobIndices(), original.gpuJobIndices());
+    EXPECT_EQ(loaded.cpuJobIndices(), original.cpuJobIndices());
     EXPECT_EQ(loaded.uniqueUsers(), original.uniqueUsers());
 }
 

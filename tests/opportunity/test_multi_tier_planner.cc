@@ -31,9 +31,10 @@ TEST(MultiTierPlanner, ShiftsOnlyNonMatureClasses)
 {
     const MultiTierPlanner planner;
     const auto ds = tierDataset();
-    for (const auto *job : ds.gpuJobs()) {
-        const bool shifted = planner.shouldShift(*job);
-        if (job->terminal == TerminalState::Completed)
+    for (const std::uint32_t i : ds.gpuJobIndices()) {
+        const core::JobRecord &job = ds.records()[i];
+        const bool shifted = planner.shouldShift(job);
+        if (job.terminal == TerminalState::Completed)
             EXPECT_FALSE(shifted);
         else
             EXPECT_TRUE(shifted);

@@ -77,13 +77,13 @@ TEST(TraceSynthesizer, GpuJobsCarryTelemetry)
 TEST(TraceSynthesizer, BothJobPopulationsPresent)
 {
     const auto result = smallTrace();
-    EXPECT_FALSE(result.dataset.gpuJobs().empty());
-    EXPECT_FALSE(result.dataset.cpuJobs().empty());
+    EXPECT_FALSE(result.dataset.gpuJobIndices().empty());
+    EXPECT_FALSE(result.dataset.cpuJobIndices().empty());
     // CPU jobs arrive mostly as whole arrays, so at a 2% scale
     // (~50 CPU arrivals) the realized fraction is high-variance; the
     // calibration-fidelity suite checks the tight band at scale 0.12.
     const double cpu_frac =
-        static_cast<double>(result.dataset.cpuJobs().size()) /
+        static_cast<double>(result.dataset.cpuJobIndices().size()) /
         static_cast<double>(result.dataset.size());
     EXPECT_NEAR(cpu_frac, 0.305, 0.17);
 }
@@ -136,12 +136,15 @@ TEST(TraceSynthesizer, SizesClampedToScaledCluster)
 TEST(TraceSynthesizer, TimeseriesSubsetExists)
 {
     const auto result = smallTrace();
-    std::size_t detailed = 0;
-    for (const auto &r : result.dataset.records())
+    std::size_t detailed = 0, gpu_jobs = 0;
+    for (const auto &r : result.dataset.records()) {
+        if (r.isGpuJob())
+            ++gpu_jobs;
         if (r.has_timeseries)
             ++detailed;
+    }
     EXPECT_GT(detailed, 10u);
-    EXPECT_LT(detailed, result.dataset.gpuJobs(0.0).size());
+    EXPECT_LT(detailed, gpu_jobs);
 }
 
 TEST(TraceSynthesizer, UserIdsWithinPopulation)
