@@ -4,8 +4,9 @@
 // annotations from thread_annotations.hh, so clang's -Wthread-safety
 // can reason about lock scopes (libstdc++'s std::mutex and
 // std::lock_guard are unannotated and invisible to it). aiwc-lint's
-// lock-set pass recognizes MutexLock/MutexLock2 alongside the std
-// guards, so both checkers see the same scopes.
+// lock-order graph recognizes MutexLock/MutexLock2 alongside the std
+// guards, and its lock-discipline rule covers the unannotated std
+// mutexes clang cannot see.
 //
 // The project-law lock-discipline rule bans manual .lock()/.unlock()
 // calls in src/; the implementations here are the one sanctioned

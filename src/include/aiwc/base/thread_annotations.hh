@@ -1,11 +1,11 @@
 // Capability annotation macros for static thread-safety analysis.
 //
 // Under clang these expand to the thread-safety attributes that power
-// -Wthread-safety, making the clang CI leg a second, independent
-// concurrency checker; under every other compiler they expand to
-// nothing. aiwc-lint's own lock-set pass (guarded-field,
-// requires-lock, lock-order-cycle) parses the macro names directly
-// from source, so the two checkers share one annotation vocabulary.
+// -Wthread-safety; the clang CI leg owns every per-access and per-call
+// check (GUARDED_BY, REQUIRES, EXCLUDES). Under every other compiler
+// they expand to nothing. aiwc-lint reads AIWC_REQUIRES and
+// AIWC_ACQUIRED_BEFORE from source for the one thing clang cannot
+// check, the whole-program lock-order graph (lock-order-cycle).
 //
 // Style guide (see CONTRIBUTING.md "Concurrency annotations"):
 //   - Every mutex-protected member is AIWC_GUARDED_BY(its mutex).

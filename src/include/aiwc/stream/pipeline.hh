@@ -117,31 +117,26 @@ class StreamPipeline
     const StreamingServiceTime &
     serviceTime() const AIWC_NO_THREAD_SAFETY_ANALYSIS
     {
-        // aiwc-lint: allow(guarded-field) -- single-threaded harness accessor; caller quiesces the pipeline (see invariant above)
         return service_time_;
     }
     const StreamingUtilization &
     utilization() const AIWC_NO_THREAD_SAFETY_ANALYSIS
     {
-        // aiwc-lint: allow(guarded-field) -- single-threaded harness accessor; caller quiesces the pipeline (see invariant above)
         return utilization_;
     }
     const StreamingPower &
     power() const AIWC_NO_THREAD_SAFETY_ANALYSIS
     {
-        // aiwc-lint: allow(guarded-field) -- single-threaded harness accessor; caller quiesces the pipeline (see invariant above)
         return power_;
     }
     const StreamingUserBehavior &
     userBehavior() const AIWC_NO_THREAD_SAFETY_ANALYSIS
     {
-        // aiwc-lint: allow(guarded-field) -- single-threaded harness accessor; caller quiesces the pipeline (see invariant above)
         return user_behavior_;
     }
     const sketch::ReservoirSample &
     exemplars() const AIWC_NO_THREAD_SAFETY_ANALYSIS
     {
-        // aiwc-lint: allow(guarded-field) -- single-threaded harness accessor; caller quiesces the pipeline (see invariant above)
         return exemplars_;
     }
 

@@ -1,10 +1,11 @@
 // Lock-model fixtures for the v3 concurrency rules: the lock-set
 // analysis behind lock-discipline's guard tracking (defer/adopt/early
-// unlock), guarded-field, requires-lock, the per-file lock-order edge
-// contribution, the locks.txt spec parser, and the whole-program
-// cycle check with its witness path. If an injected out-of-order
-// acquisition stops producing a lock-order-cycle, the CI gate is
-// decorative — this suite is what catches it.
+// unlock), the per-file lock-order edge contribution (including
+// AIWC_REQUIRES seeds resolved through the companion header), the
+// locks.txt spec parser, and the whole-program cycle check with its
+// witness path. If an injected out-of-order acquisition stops
+// producing a lock-order-cycle, the CI gate is decorative — this suite
+// is what catches it.
 
 #include "locks.hh"
 
@@ -34,149 +35,6 @@ findRule(const std::vector<Finding> &fs, const std::string &rule)
         if (f.rule == rule)
             return &f;
     return nullptr;
-}
-
-// --- guarded-field ---------------------------------------------------------
-
-TEST(LintLocks, GuardedFieldFlagsUnlockedAccessOnly)
-{
-    const auto fs = lintSource(
-        "src/core/x.cc",
-        "class Table {\n"
-        " public:\n"
-        "  int size() const { return n_; }\n"
-        "  void bump() {\n"
-        "    std::lock_guard<std::mutex> lock(mutex_);\n"
-        "    ++n_;\n"
-        "  }\n"
-        " private:\n"
-        "  mutable std::mutex mutex_;\n"
-        "  int n_ AIWC_GUARDED_BY(mutex_);\n"
-        "};\n");
-    EXPECT_EQ(countRule(fs, "guarded-field"), 1);
-    const Finding *f = findRule(fs, "guarded-field");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->line, 3);
-    EXPECT_NE(f->message.find("'n_'"), std::string::npos);
-    EXPECT_NE(f->message.find("'mutex_'"), std::string::npos);
-}
-
-TEST(LintLocks, GuardedFieldExemptsConstructorsAndDestructors)
-{
-    const auto fs = lintSource(
-        "src/core/x.cc",
-        "class Table {\n"
-        " public:\n"
-        "  Table() { n_ = 1; }\n"
-        "  ~Table() { n_ = 0; }\n"
-        " private:\n"
-        "  std::mutex mutex_;\n"
-        "  int n_ AIWC_GUARDED_BY(mutex_);\n"
-        "};\n");
-    EXPECT_EQ(countRule(fs, "guarded-field"), 0);
-}
-
-TEST(LintLocks, GuardedFieldHonorsSuppressions)
-{
-    const auto fs = lintSource(
-        "src/core/x.cc",
-        "class Table {\n"
-        " public:\n"
-        "  // aiwc-lint: allow(guarded-field) -- single-threaded "
-        "harness accessor\n"
-        "  int size() const { return n_; }\n"
-        " private:\n"
-        "  std::mutex mutex_;\n"
-        "  int n_ AIWC_GUARDED_BY(mutex_);\n"
-        "};\n");
-    EXPECT_EQ(countRule(fs, "guarded-field"), 0);
-}
-
-TEST(LintLocks, GuardedFieldSeesEarlyUnlock)
-{
-    // g.unlock() drops the lock-set mid-scope: the second access is
-    // unprotected even though the guard object is still alive.
-    const auto fs = lintSource(
-        "src/core/x.cc",
-        "class Table {\n"
-        "  void f() {\n"
-        "    std::unique_lock<std::mutex> g(mutex_);\n"
-        "    ++n_;\n"
-        "    g.unlock();\n"
-        "    ++n_;\n"
-        "  }\n"
-        "  std::mutex mutex_;\n"
-        "  int n_ AIWC_GUARDED_BY(mutex_);\n"
-        "};\n");
-    EXPECT_EQ(countRule(fs, "guarded-field"), 1);
-    const Finding *f = findRule(fs, "guarded-field");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->line, 6);
-}
-
-// --- requires-lock ---------------------------------------------------------
-
-TEST(LintLocks, RequiresLockFlagsUnheldCallee)
-{
-    const auto fs = lintSource(
-        "src/core/x.cc",
-        "class T {\n"
-        "  void flushLocked() AIWC_REQUIRES(mutex_);\n"
-        "  void bad() { flushLocked(); }\n"
-        "  void good() {\n"
-        "    std::lock_guard<std::mutex> l(mutex_);\n"
-        "    flushLocked();\n"
-        "  }\n"
-        "  std::mutex mutex_;\n"
-        "};\n");
-    EXPECT_EQ(countRule(fs, "requires-lock"), 1);
-    const Finding *f = findRule(fs, "requires-lock");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->line, 3);
-    EXPECT_NE(f->message.find("AIWC_REQUIRES"), std::string::npos);
-}
-
-TEST(LintLocks, ExcludesFlagsHeldCallee)
-{
-    const auto fs = lintSource(
-        "src/core/x.cc",
-        "class T {\n"
-        "  void reenter() AIWC_EXCLUDES(mutex_);\n"
-        "  void bad() {\n"
-        "    std::lock_guard<std::mutex> l(mutex_);\n"
-        "    reenter();\n"
-        "  }\n"
-        "  void good() { reenter(); }\n"
-        "  std::mutex mutex_;\n"
-        "};\n");
-    EXPECT_EQ(countRule(fs, "requires-lock"), 1);
-    const Finding *f = findRule(fs, "requires-lock");
-    ASSERT_NE(f, nullptr);
-    EXPECT_NE(f->message.find("self-deadlock"), std::string::npos);
-}
-
-TEST(LintLocks, RequiresLockResolvesThroughCompanionHeader)
-{
-    // The annotation lives on the declaration in the module header;
-    // the out-of-line definitions must still see it.
-    const std::string companion =
-        "class T {\n"
-        "  void flushLocked() AIWC_REQUIRES(mutex_);\n"
-        "  void tick();\n"
-        "  std::mutex mutex_;\n"
-        "  int n_ AIWC_GUARDED_BY(mutex_);\n"
-        "};\n";
-    const auto fs = lintSource("src/core/x.cc",
-                               "void T::flushLocked() { ++n_; }\n"
-                               "void T::tick() { flushLocked(); }\n",
-                               &companion);
-    // flushLocked()'s own body is clean: REQUIRES seeds its lock-set.
-    EXPECT_EQ(countRule(fs, "guarded-field"), 0);
-    // tick() calls it without the lock.
-    EXPECT_EQ(countRule(fs, "requires-lock"), 1);
-    const Finding *f = findRule(fs, "requires-lock");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->line, 2);
 }
 
 // --- lock-discipline: guard-state tracking ---------------------------------
@@ -315,6 +173,44 @@ TEST(LintLocks, RequiresSeedsAcquisitionEdges)
     ASSERT_EQ(fa.lock_edges.size(), 1u);
     EXPECT_EQ(fa.lock_edges[0].from, "Pair::ma_");
     EXPECT_EQ(fa.lock_edges[0].to, "Pair::mb_");
+}
+
+TEST(LintLocks, CompanionRequiresSeedsEdges)
+{
+    // The contract lives on the declaration in the module header; the
+    // out-of-line definition must still start with ma_ held.
+    const std::string companion = "class T {\n"
+                                  "  void f() AIWC_REQUIRES(ma_);\n"
+                                  "  std::mutex ma_;\n"
+                                  "  std::mutex mb_;\n"
+                                  "};\n";
+    const auto fa = analyzeSource(
+        "src/core/x.cc",
+        "void T::f() {\n"
+        "  std::lock_guard<std::mutex> l(mb_);\n"
+        "}\n",
+        &companion);
+    ASSERT_EQ(fa.lock_edges.size(), 1u);
+    EXPECT_EQ(fa.lock_edges[0].from, "T::ma_");
+    EXPECT_EQ(fa.lock_edges[0].to, "T::mb_");
+    EXPECT_EQ(fa.lock_edges[0].line, 2);
+}
+
+TEST(LintLocks, EarlyUnlockEndsTheHeldSet)
+{
+    // g.unlock() drops ma_ mid-scope: acquiring mb_ afterwards nests
+    // nothing, even though the guard object is still alive.
+    const auto fa = analyze("src/core/x.cc",
+                            "class Pair {\n"
+                            "  void f() {\n"
+                            "    std::unique_lock<std::mutex> g(ma_);\n"
+                            "    g.unlock();\n"
+                            "    std::lock_guard<std::mutex> l(mb_);\n"
+                            "  }\n"
+                            "  std::mutex ma_;\n"
+                            "  std::mutex mb_;\n"
+                            "};\n");
+    EXPECT_TRUE(fa.lock_edges.empty());
 }
 
 TEST(LintLocks, MutexLock2SameClassPairEmitsNoEdge)
@@ -549,11 +445,14 @@ TEST(LintLocks, CacheRoundTripsLockEdges)
 
 TEST(LintLocks, OldCacheVersionIsRejected)
 {
-    // The v2 header must discard the whole cache: v2 records carry no
-    // lock edges, and serving them would silently drop order checking.
-    AnalysisCache cache;
-    EXPECT_FALSE(cache.load("aiwc-lint-cache 2\n"));
-    EXPECT_EQ(cache.size(), 0u);
+    // An old header must discard the whole cache: v2 records carry no
+    // lock edges, and serving them would silently drop order checking;
+    // v3 records carry findings of rules that no longer exist.
+    for (const char *old : {"aiwc-lint-cache 2\n", "aiwc-lint-cache 3\n"}) {
+        AnalysisCache cache;
+        EXPECT_FALSE(cache.load(old)) << old;
+        EXPECT_EQ(cache.size(), 0u) << old;
+    }
 }
 
 } // namespace

@@ -19,7 +19,7 @@ namespace
  * restore on the tool binary's hash, which subsumes this, but local
  * runs only have this line.)
  */
-const char kCacheHeader[] = "aiwc-lint-cache 3";
+const char kCacheHeader[] = "aiwc-lint-cache 4";
 
 /** FNV-1a continuation: mix `more` into an existing hash. */
 std::uint64_t

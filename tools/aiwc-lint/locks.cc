@@ -19,13 +19,6 @@ isPunct(const std::vector<Token> &ts, std::size_t i, const char *text)
            ts[i].text == text;
 }
 
-bool
-isIdent(const std::vector<Token> &ts, std::size_t i, const char *text)
-{
-    return i < ts.size() && ts[i].kind == TokenKind::Identifier &&
-           ts[i].text == text;
-}
-
 /** Index just past the '>' matching ts[open] == "<". */
 std::size_t
 skipAngles(const std::vector<Token> &ts, std::size_t open)
@@ -74,10 +67,22 @@ finalIdent(const std::string &expr)
     return (id.empty() || (id[0] >= '0' && id[0] <= '9')) ? "" : id;
 }
 
+/** ts[k] is `.lock(` / `->unlock(` / `.try_lock(`: a member lock call. */
+bool
+isLockMemberCall(const std::vector<Token> &ts, std::size_t k)
+{
+    const std::string &s = ts[k].text;
+    return ts[k].kind == TokenKind::Identifier &&
+           (s == "lock" || s == "unlock" || s == "try_lock") &&
+           (isPunct(ts, k - 1, ".") ||
+            (k >= 2 && isPunct(ts, k - 1, ">") && isPunct(ts, k - 2, "-"))) &&
+           isPunct(ts, k + 1, "(");
+}
+
 // ---------------------------------------------------------------------------
-// The concurrency model: annotated fields and methods, merged from the
-// file's outline and its companion header's so .cc bodies see the
-// class model declared in the module's public header.
+// The concurrency model: mutex-typed fields and AIWC_REQUIRES contracts,
+// merged from the file's outline and its companion header's so .cc
+// bodies see the class model declared in the module's public header.
 
 bool
 isMutexKind(const std::string &type_name)
@@ -88,24 +93,13 @@ isMutexKind(const std::string &type_name)
            type_name == "recursive_timed_mutex";
 }
 
-struct FieldInfo {
-    std::string guarded_by;
-    std::string type_name;
-};
-
-struct MethodInfo {
-    std::vector<std::string> requires_locks;
-    std::vector<std::string> excludes_locks;
-};
-
 struct ClassInfo {
-    std::map<std::string, FieldInfo> fields;
-    std::map<std::string, MethodInfo> methods;
+    std::map<std::string, std::string> field_types;  //!< field -> type_name
+    std::map<std::string, std::vector<std::string>> requires_locks;
 };
 
 struct Model {
     std::map<std::string, ClassInfo> classes;
-    std::map<std::string, MethodInfo> free_fns;
 };
 
 void
@@ -120,18 +114,15 @@ void
 addOutline(const Outline &o, Model &m)
 {
     for (const Decl &d : o.decls) {
-        if (d.kind == DeclKind::Field && !d.owner.empty()) {
-            FieldInfo &f = m.classes[d.owner].fields[d.name];
-            if (f.guarded_by.empty())
-                f.guarded_by = d.guarded_by;
-            if (f.type_name.empty())
-                f.type_name = d.type_name;
+        if (d.owner.empty())
+            continue;
+        ClassInfo &cls = m.classes[d.owner];
+        if (d.kind == DeclKind::Field) {
+            std::string &type = cls.field_types[d.name];
+            if (type.empty())
+                type = d.type_name;
         } else if (d.kind == DeclKind::Function) {
-            MethodInfo &mi = d.owner.empty()
-                                 ? m.free_fns[d.name]
-                                 : m.classes[d.owner].methods[d.name];
-            mergeList(mi.requires_locks, d.requires_locks);
-            mergeList(mi.excludes_locks, d.excludes_locks);
+            mergeList(cls.requires_locks[d.name], d.requires_locks);
         }
     }
 }
@@ -151,17 +142,16 @@ resolveNode(const std::string &key, const std::string &owner, const Model &m)
     if (!owner.empty()) {
         const auto cls = m.classes.find(owner);
         if (cls != m.classes.end()) {
-            const auto f = cls->second.fields.find(key);
-            if (f != cls->second.fields.end() &&
-                isMutexKind(f->second.type_name))
+            const auto f = cls->second.field_types.find(key);
+            if (f != cls->second.field_types.end() && isMutexKind(f->second))
                 return owner + "::" + key;
         }
     }
     std::string match;
     int count = 0;
     for (const auto &[cls_name, info] : m.classes) {
-        const auto f = info.fields.find(key);
-        if (f != info.fields.end() && isMutexKind(f->second.type_name)) {
+        const auto f = info.field_types.find(key);
+        if (f != info.field_types.end() && isMutexKind(f->second)) {
             ++count;
             match = cls_name + "::" + key;
         }
@@ -182,7 +172,6 @@ isGuardType(const std::string &s)
 /** One live RAII guard (or a REQUIRES seed, at depth 0). */
 struct GuardScope {
     std::string var;                 //!< "" for REQUIRES seeds
-    std::vector<std::string> keys;   //!< lock keys this guard holds
     std::vector<std::string> nodes;  //!< resolved nodes ("" = unknown)
     bool active = false;
     bool deferred = false;           //!< constructed with std::defer_lock
@@ -206,16 +195,6 @@ struct BodyWalker {
 
     std::vector<GuardScope> guards;
     std::string owner;  //!< enclosing class of the current function
-
-    bool
-    holds(const std::string &key) const
-    {
-        for (const GuardScope &g : guards)
-            if (g.active && std::find(g.keys.begin(), g.keys.end(), key) !=
-                                g.keys.end())
-                return true;
-        return false;
-    }
 
     void
     emitEdges(const std::vector<std::string> &new_nodes, int line)
@@ -296,7 +275,6 @@ struct BodyWalker {
             } else if (fin == "adopt_lock") {
                 adopt = true;
             } else if (fin != "try_to_lock") {
-                gs.keys.push_back(fin);
                 gs.nodes.push_back(resolveNode(fin, owner, model));
             }
             fin.clear();
@@ -399,14 +377,13 @@ struct BodyWalker {
         if (!owner.empty()) {
             const auto cls = model.classes.find(owner);
             if (cls != model.classes.end()) {
-                const auto mi = cls->second.methods.find(fn.name);
-                if (mi != cls->second.methods.end())
-                    mergeList(requires_locks, mi->second.requires_locks);
+                const auto req = cls->second.requires_locks.find(fn.name);
+                if (req != cls->second.requires_locks.end())
+                    mergeList(requires_locks, req->second);
             }
         }
         for (const std::string &req : requires_locks) {
             GuardScope seed;
-            seed.keys.push_back(finalIdent(req));
             seed.nodes.push_back(resolveNode(finalIdent(req), owner, model));
             seed.active = true;
             seed.ever_locked = true;
@@ -414,17 +391,6 @@ struct BodyWalker {
             seed.line = fn.line;
             guards.push_back(std::move(seed));
         }
-
-        const ClassInfo *cls = nullptr;
-        if (!owner.empty()) {
-            const auto it = model.classes.find(owner);
-            if (it != model.classes.end())
-                cls = &it->second;
-        }
-        // Constructors and destructors run before/after any sharing is
-        // possible; guarded-field does not apply inside them.
-        const bool ctor_dtor =
-            !owner.empty() && (fn.name == owner || fn.name == "~" + owner);
 
         int depth = 0;
         for (std::size_t k = begin; k <= end && k < ts.size(); ++k) {
@@ -452,74 +418,8 @@ struct BodyWalker {
                 k = past;
                 continue;
             }
-
-            const bool memberish =
-                (k >= 1 && isPunct(ts, k - 1, ".")) ||
-                (k >= 2 && isPunct(ts, k - 1, ">") && isPunct(ts, k - 2, "-"));
-            if ((t.text == "lock" || t.text == "unlock" ||
-                 t.text == "try_lock") &&
-                memberish && isPunct(ts, k + 1, "(")) {
+            if (isLockMemberCall(ts, k))
                 onMutexMemberCall(k);
-                continue;
-            }
-
-            // Receiver shape for the annotation rules: a bare name or
-            // an explicit this-> access. Accesses through any other
-            // object are skipped — field identity would be a guess.
-            const bool this_recv =
-                k >= 3 && isPunct(ts, k - 1, ">") && isPunct(ts, k - 2, "-") &&
-                isIdent(ts, k - 3, "this");
-            const bool bare =
-                !memberish && !(k >= 1 && isPunct(ts, k - 1, "::"));
-            if (!bare && !this_recv)
-                continue;
-
-            if (isPunct(ts, k + 1, "(")) {
-                // requires-lock: calls into the annotated model.
-                const MethodInfo *mi = nullptr;
-                if (cls != nullptr) {
-                    const auto it = cls->methods.find(t.text);
-                    if (it != cls->methods.end())
-                        mi = &it->second;
-                }
-                if (mi == nullptr) {
-                    const auto it = model.free_fns.find(t.text);
-                    if (it != model.free_fns.end())
-                        mi = &it->second;
-                }
-                if (mi != nullptr) {
-                    for (const std::string &req : mi->requires_locks)
-                        if (!holds(finalIdent(req)))
-                            findings.push_back(
-                                {path, t.line, "requires-lock",
-                                 "call to '" + t.text + "' requires '" + req +
-                                     "' (AIWC_REQUIRES) but it is not held "
-                                     "on this path"});
-                    for (const std::string &exc : mi->excludes_locks)
-                        if (holds(finalIdent(exc)))
-                            findings.push_back(
-                                {path, t.line, "requires-lock",
-                                 "call to '" + t.text + "' excludes '" + exc +
-                                     "' (AIWC_EXCLUDES) but it is held here "
-                                     "— self-deadlock"});
-                }
-                continue;
-            }
-
-            // guarded-field: annotated members of the enclosing class.
-            if (cls == nullptr || ctor_dtor)
-                continue;
-            const auto f = cls->fields.find(t.text);
-            if (f == cls->fields.end() || f->second.guarded_by.empty())
-                continue;
-            if (!holds(finalIdent(f->second.guarded_by)))
-                findings.push_back(
-                    {path, t.line, "guarded-field",
-                     "field '" + t.text + "' is guarded by '" +
-                         f->second.guarded_by +
-                         "' (AIWC_GUARDED_BY) but accessed without it "
-                         "held; acquire the mutex or document the "
-                         "invariant and suppress"});
         }
         for (const GuardScope &g : guards)
             if (g.depth > 0)
@@ -569,18 +469,10 @@ analyzeLocks(const std::string &path, const std::vector<Token> &tokens,
 
     if (discipline) {
         for (std::size_t k = 0; k < tokens.size(); ++k) {
-            if (covered[k] || tokens[k].kind != TokenKind::Identifier)
-                continue;
-            const std::string &s = tokens[k].text;
-            if (s != "lock" && s != "unlock" && s != "try_lock")
-                continue;
-            const bool memberish =
-                (k >= 1 && isPunct(tokens, k - 1, ".")) ||
-                (k >= 2 && isPunct(tokens, k - 1, ">") &&
-                 isPunct(tokens, k - 2, "-"));
-            if (memberish && isPunct(tokens, k + 1, "("))
+            if (!covered[k] && isLockMemberCall(tokens, k))
                 findings.push_back({path, tokens[k].line, "lock-discipline",
-                                    "manual ." + s + kManualMsgTail});
+                                    "manual ." + tokens[k].text +
+                                        kManualMsgTail});
         }
     }
 

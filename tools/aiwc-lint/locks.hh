@@ -2,24 +2,23 @@
  * @file
  * aiwc-lint v3: the static concurrency model.
  *
- * Three layers, all driven by the annotation vocabulary of
- * aiwc/base/thread_annotations.hh as captured by the outline parser:
+ * Clang's -Wthread-safety owns the per-access and per-call checks
+ * (AIWC_GUARDED_BY, AIWC_REQUIRES at call sites, AIWC_EXCLUDES). This
+ * pass checks what clang cannot: the whole-program acquisition order,
+ * and manual calls on libstdc++ mutexes that carry no annotations.
+ * Three layers:
  *
  *  1. A per-function *lock-set analysis* (analyzeLocks). Walking each
  *     function body's token range, it tracks RAII guard scopes
  *     (std::lock_guard / std::scoped_lock / std::unique_lock and the
  *     project's aiwc::MutexLock / MutexLock2), including
  *     std::defer_lock / std::adopt_lock tags and explicit
- *     .lock()/.unlock() calls *on the guard object*. The lock-set at
- *     each point powers three per-file rules:
+ *     .lock()/.unlock() calls *on the guard object*. The function's
+ *     AIWC_REQUIRES contract seeds the entry lock-set; annotations on
+ *     out-of-line definitions resolve through the companion-header
+ *     outline. One per-file rule reads the guard state:
  *       - lock-discipline   manual mutex calls, deferred guards never
  *                           locked, double-locked / not-held guards
- *       - guarded-field     AIWC_GUARDED_BY member accessed without
- *                           its mutex held
- *       - requires-lock     AIWC_REQUIRES callee without the lock,
- *                           AIWC_EXCLUDES callee with it
- *     Annotations on out-of-line definitions resolve through the
- *     companion-header outline, so .cc files see their class's model.
  *
  *  2. A per-file *lock-order contribution*: every acquisition made
  *     while another resolved lock is held emits an observed LockEdge;
@@ -83,8 +82,8 @@ struct LockSpec {
  * output (function body ranges recorded by the outline index into it);
  * `outline` is this file's outline and `companion` the module header's
  * (nullptr when there is none). `discipline` gates the lock-discipline
- * findings (project law applies to src/ only); guarded-field,
- * requires-lock, and lock-order edges are always produced.
+ * findings (project law applies to src/ only); lock-order edges are
+ * always produced.
  */
 void analyzeLocks(const std::string &path, const std::vector<Token> &tokens,
                   const Outline &outline, const Outline *companion,

@@ -129,15 +129,14 @@ skipCtorInit(const std::vector<Token> &ts, std::size_t i)
 }
 
 // ---------------------------------------------------------------------------
-// v3: capability annotation capture. The lock-set pass reads the macro
-// vocabulary of aiwc/base/thread_annotations.hh straight from the token
-// stream, so annotated code needs no compiler involvement to be checked.
+// v3: capability annotation capture. The lock-order graph reads
+// AIWC_ACQUIRED_BEFORE and AIWC_REQUIRES straight from the token stream;
+// the other annotation macros are recognised only so declarations parse
+// through them (clang's -Wthread-safety checks what they say).
 
 struct AnnotationCapture {
-    std::string guarded_by;
     std::vector<std::string> acquired_before;
     std::vector<std::string> requires_locks;
-    std::vector<std::string> excludes_locks;
 };
 
 bool
@@ -149,17 +148,23 @@ isAnnotationMacro(const std::string &s)
 }
 
 /**
- * ts[i] is an annotation macro name with ts[i + 1] == "(": record its
- * comma-separated arguments (each joined to one string, e.g.
- * "other.mutex_") into `cap` and return the index past the ')'.
+ * ts[i] is an annotation macro name with ts[i + 1] == "(": record the
+ * comma-separated arguments of AIWC_ACQUIRED_BEFORE / AIWC_REQUIRES
+ * (each joined to one string, e.g. "other.mutex_") into `cap` and
+ * return the index past the ')'.
  */
 std::size_t
 parseAnnotation(const std::vector<Token> &ts, std::size_t i,
                 AnnotationCapture &cap)
 {
-    const std::string macro = ts[i].text;
+    const std::string &macro = ts[i].text;
     const std::size_t end = skipParens(ts, i + 1);
-    std::vector<std::string> args;
+    std::vector<std::string> *into =
+        macro == "AIWC_ACQUIRED_BEFORE" ? &cap.acquired_before
+        : macro == "AIWC_REQUIRES"      ? &cap.requires_locks
+                                        : nullptr;
+    if (into == nullptr)
+        return end;
     std::string cur;
     int depth = 0;
     for (std::size_t k = i + 2; k + 1 < end; ++k) {
@@ -173,7 +178,7 @@ parseAnnotation(const std::vector<Token> &ts, std::size_t i,
                 --depth;
             } else if (t.text == "," && depth == 0) {
                 if (!cur.empty())
-                    args.push_back(cur);
+                    into->push_back(cur);
                 cur.clear();
                 continue;
             }
@@ -181,21 +186,7 @@ parseAnnotation(const std::vector<Token> &ts, std::size_t i,
         cur += t.text;
     }
     if (!cur.empty())
-        args.push_back(cur);
-
-    if (macro == "AIWC_GUARDED_BY" || macro == "AIWC_PT_GUARDED_BY") {
-        if (!args.empty())
-            cap.guarded_by = args[0];
-    } else if (macro == "AIWC_ACQUIRED_BEFORE") {
-        cap.acquired_before.insert(cap.acquired_before.end(), args.begin(),
-                                   args.end());
-    } else if (macro == "AIWC_REQUIRES") {
-        cap.requires_locks.insert(cap.requires_locks.end(), args.begin(),
-                                  args.end());
-    } else {
-        cap.excludes_locks.insert(cap.excludes_locks.end(), args.begin(),
-                                  args.end());
-    }
+        into->push_back(cur);
     return end;
 }
 
@@ -716,7 +707,6 @@ struct Parser {
                 Decl d = flags;
                 d.type_name = prev_ident;
                 d.requires_locks = cap.requires_locks;
-                d.excludes_locks = cap.excludes_locks;
                 if (!member)
                     ownerFromDeclarator(d, name_idx);
                 if (dtor)
@@ -740,7 +730,6 @@ struct Parser {
                 d.has_initializer =
                     isPunct(ts, i, "=") || isPunct(ts, i, "{");
                 d.type_name = prev_ident;
-                d.guarded_by = cap.guarded_by;
                 d.acquired_before = cap.acquired_before;
                 if (!member)
                     ownerFromDeclarator(d, name_idx);
@@ -787,7 +776,7 @@ parseOutline(const std::vector<Token> &tokens)
         }
     }
 
-    Parser parser{tokens, out, {}};
+    Parser parser{tokens, out, {}, {}};
     parser.parseScope(0);
     return out;
 }

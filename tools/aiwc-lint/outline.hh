@@ -61,10 +61,8 @@ struct Decl {
     /** Last type identifier before the declarator (e.g. "Mutex" for
      *  `mutable aiwc::Mutex mu_;`) — how the lock pass spots mutexes. */
     std::string type_name;
-    std::string guarded_by;  //!< AIWC_GUARDED_BY / AIWC_PT_GUARDED_BY arg
     std::vector<std::string> acquired_before;  //!< AIWC_ACQUIRED_BEFORE args
     std::vector<std::string> requires_locks;   //!< AIWC_REQUIRES args
-    std::vector<std::string> excludes_locks;   //!< AIWC_EXCLUDES args
     /** Token indices of a function definition's '{' and its matching
      *  '}' in the stream given to parseOutline; -1 when bodyless. */
     int body_begin = -1;

@@ -583,13 +583,13 @@ ruleMutableGlobal(const std::string &path, const Outline &outline,
 }
 
 // ---------------------------------------------------------------------------
-// R7 · lock-discipline / guarded-field / requires-lock
+// R7 · lock-discipline
 //
-// The v3 lock-set pass in locks.cc owns all three: it tracks RAII
-// guard scopes (including std::defer_lock / adopt_lock and explicit
-// .lock()/.unlock() on guard objects), flags manual mutex calls, and
-// checks the AIWC_GUARDED_BY / AIWC_REQUIRES / AIWC_EXCLUDES model
-// captured by the outline parser. See locks.hh.
+// The v3 lock-set pass in locks.cc owns it: it tracks RAII guard
+// scopes (including std::defer_lock / adopt_lock and explicit
+// .lock()/.unlock() on guard objects) and flags manual mutex calls.
+// Per-access and per-call annotation checks are clang's
+// -Wthread-safety. See locks.hh.
 
 // ---------------------------------------------------------------------------
 // R8 · float-reduce-order
@@ -788,12 +788,12 @@ const std::vector<std::string> &
 knownRules()
 {
     static const std::vector<std::string> rules = {
-        "bad-suppression",    "contract-abort",  "contract-assert",
+        "bad-suppression",    "contract-abort",     "contract-assert",
         "det-random",         "det-unordered-iter", "float-reduce-order",
-        "guarded-field",      "header-pragma-once", "header-using-ns",
-        "include-cycle",      "layer-violation", "lock-discipline",
-        "lock-order-cycle",   "metric-name",     "mutable-global",
-        "requires-lock",      "thread-raw",      "unused-include",
+        "header-pragma-once", "header-using-ns",    "include-cycle",
+        "layer-violation",    "lock-discipline",    "lock-order-cycle",
+        "metric-name",        "mutable-global",     "thread-raw",
+        "unused-include",
     };
     return rules;
 }
@@ -814,8 +814,6 @@ ruleDescription(const std::string &rule)
          "Never iterate unordered containers where order can reach output."},
         {"float-reduce-order",
          "Floating-point reductions must have a pinned combination order."},
-        {"guarded-field",
-         "AIWC_GUARDED_BY members are only touched with their mutex held."},
         {"header-pragma-once",
          "Public headers open with #pragma once."},
         {"header-using-ns",
@@ -833,9 +831,6 @@ ruleDescription(const std::string &rule)
          "Metric names match aiwc.<layer>.<thing> (lower_snake segments)."},
         {"mutable-global",
          "No mutable namespace-scope state in src/."},
-        {"requires-lock",
-         "AIWC_REQUIRES callees need the lock held; AIWC_EXCLUDES callees "
-         "need it free."},
         {"thread-raw",
          "All concurrency goes through the deterministic pool."},
         {"unused-include",

@@ -40,17 +40,14 @@
  *  - unused-include      a project header none of whose declared names
  *                        appear in the including file (IWYU-lite)
  *
- * v3 adds the static concurrency model (see locks.hh and
- * aiwc/base/thread_annotations.hh):
+ * v3 adds the whole-program lock-order graph (see locks.hh and
+ * aiwc/base/thread_annotations.hh); per-access and per-call checks of
+ * the annotations are left to clang's -Wthread-safety:
  *
- *  - guarded-field       an AIWC_GUARDED_BY member read/written without
- *                        its mutex in the function's lock-set
- *  - requires-lock       a call to an AIWC_REQUIRES function without
- *                        the lock held (or an AIWC_EXCLUDES function
- *                        with it held — self-deadlock)
  *  - lock-order-cycle    a cycle in the whole-program lock-acquisition
  *                        graph (observed nestings + ACQUIRED_BEFORE +
- *                        the tools/aiwc-lint/locks.txt spec)
+ *                        AIWC_REQUIRES-seeded acquisitions + the
+ *                        tools/aiwc-lint/locks.txt spec)
  *
  * Suppression syntax, checked by the engine itself:
  *
