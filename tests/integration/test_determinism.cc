@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "aiwc/common/parallel.hh"
+#include "aiwc/obs/metrics.hh"
 #include "aiwc/obs/trace.hh"
 #include "aiwc/core/bottleneck_analyzer.hh"
 #include "aiwc/core/csv_loader.hh"
@@ -133,6 +134,39 @@ TEST(Determinism, ReplayMatchesPinnedDigest)
     EXPECT_EQ(trace.scheduler_stats.started, 2690u);
     EXPECT_EQ(trace.scheduler_stats.backfilled, 719u);
     EXPECT_EQ(trace.scheduler_stats.gpu_hours, 0x1.b9131fc554aeap+13);
+}
+
+TEST(Determinism, LargerClusterReplayMatchesPinnedDigest)
+{
+    // Scale 0.04 is a 9-node cluster; at 0.1 (22 nodes) the replay also
+    // spreads multi-GPU jobs across neighbouring nodes and grants CPU
+    // jobs several whole nodes. Telemetry is off so the digest covers
+    // the replay alone. The scheduler counters are pinned with the
+    // records: a change that keeps every decision but probes placement
+    // a different number of times shows up here.
+    auto &registry = obs::MetricsRegistry::global();
+    auto &failures = registry.counter("aiwc.sched.placement_failures");
+    auto &attempts = registry.counter("aiwc.sched.backfill_attempts");
+    auto &passes = registry.counter("aiwc.sched.backfill_passes");
+    const std::uint64_t failures_before = failures.value();
+    const std::uint64_t attempts_before = attempts.value();
+    const std::uint64_t passes_before = passes.value();
+
+    workload::SynthesisOptions options;
+    options.seed = 42;
+    options.scale = 0.1;
+    options.telemetry = false;
+    const auto trace = workload::TraceSynthesizer(
+        workload::CalibrationProfile::supercloud(), options).run();
+
+    EXPECT_EQ(trace.cluster_nodes, 22);
+    EXPECT_EQ(completionDigest(trace.dataset), 0x4d8bcf2cc60b3471ull);
+    EXPECT_EQ(trace.scheduler_stats.started, 7726u);
+    EXPECT_EQ(trace.scheduler_stats.backfilled, 5262u);
+    EXPECT_EQ(trace.scheduler_stats.gpu_hours, 0x1.1d4344f0a0ce1p+15);
+    EXPECT_EQ(failures.value() - failures_before, 2444999u);
+    EXPECT_EQ(attempts.value() - attempts_before, 2736004u);
+    EXPECT_EQ(passes.value() - passes_before, 118018u);
 }
 
 TEST(Determinism, DifferentSeedDifferentDigest)
