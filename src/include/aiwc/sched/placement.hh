@@ -34,6 +34,15 @@ class DensePlacement
     std::optional<Allocation> place(const sim::Cluster &cluster,
                                     const JobRequest &request) const;
 
+    /**
+     * O(1) necessary condition for place(): false means place() would
+     * return nullopt, because the cluster has fewer free GPUs than a GPU
+     * request needs, or fewer idle nodes than a CPU request's whole-node
+     * grant. True does not promise a placement.
+     */
+    bool capacityAllows(const sim::Cluster &cluster,
+                        const JobRequest &request) const;
+
     /** Apply a plan: claim CPU slots, RAM, and GPUs. */
     void commit(sim::Cluster &cluster, JobId job, Allocation &plan) const;
 

@@ -151,8 +151,15 @@ class SlurmScheduler
     void auditInvariants() const;
 
   private:
-    /** Arrival: enqueue and try to schedule. */
-    void arrive(JobId id);
+    /** A waiting job: its static priority key and its slot in jobs_. */
+    struct QueueEntry
+    {
+        Seconds key;
+        std::size_t slot;
+    };
+
+    /** Arrival: enqueue the job in jobs_[slot] and try to schedule. */
+    void arrive(std::size_t slot);
 
     /**
      * One scheduling pass over the priority-ordered queue.
@@ -166,13 +173,22 @@ class SlurmScheduler
     /** Arm the periodic backfill pass if not already pending. */
     void armBackfillPass();
 
-    /** Start a job with the given placement plan. */
-    void start(JobId id, Allocation plan, bool via_backfill);
+    /** Start the job in jobs_[slot] with the given placement plan. */
+    void start(std::size_t slot, Allocation plan, bool via_backfill);
 
     /** Completion event: release resources, record the record. */
-    void finish(JobId id);
+    void finish(std::size_t slot);
 
-    /** Priority key: smaller runs earlier. */
+    /**
+     * The part of the priority key fixed at submission: submit time
+     * minus the GPU and SLA boosts.
+     */
+    Seconds staticKey(const Job &job) const;
+
+    /**
+     * Priority key, smaller runs earlier: the static key plus the
+     * fair-share term, if on.
+     */
     Seconds priorityKey(const Job &job) const;
 
     /** Decayed GPU-seconds a user has consumed (fair-share input). */
@@ -181,8 +197,6 @@ class SlurmScheduler
     /** Charge finished work to the user's fair-share account. */
     void chargeUsage(UserId user, double gpu_seconds);
 
-    Job &mutableJob(JobId id);
-
     sim::Simulation &sim_;
     sim::Cluster &cluster_;
     SchedulerOptions options_;
@@ -190,8 +204,15 @@ class SlurmScheduler
 
     std::vector<Job> jobs_;
     std::unordered_map<JobId, std::size_t> index_;
-    std::deque<JobId> queue_;
-    std::vector<JobId> running_;
+    /**
+     * Arrived jobs in priority order. Without fair-share a key never
+     * changes, so arrive() inserts after every equal key and no pass
+     * sorts; with fair-share, keys move with usage, so arrive() appends
+     * and every pass stable-sorts by priorityKey().
+     */
+    std::deque<QueueEntry> queue_;
+    /** Slots in jobs_ of the running jobs. */
+    std::vector<std::size_t> running_;
 
     JobHook prolog_;
     JobHook epilog_;

@@ -34,10 +34,7 @@ computeWindow(const sim::Cluster &cluster,
     AIWC_DCHECK_GE(head.gpus, 0, "head job with negative GPU demand");
     AIWC_DCHECK_GT(head.cpu_slots, 0, "head job with no CPU demand");
     int free_gpus = cluster.freeGpus();
-    int free_nodes = 0;
-    for (const auto &node : cluster.nodes())
-        if (node.freeCpuSlots() == spec.node.cpuSlots())
-            ++free_nodes;
+    int free_nodes = cluster.idleNodes();
 
     const int need_gpus = head.gpus;
     const int need_nodes = wholeNodesFor(head, spec);

@@ -38,6 +38,17 @@ DensePlacement::place(const sim::Cluster &cluster,
     return placeCpuJob(cluster, request);
 }
 
+bool
+DensePlacement::capacityAllows(const sim::Cluster &cluster,
+                               const JobRequest &request) const
+{
+    if (request.isGpuJob())
+        return request.gpus <= cluster.freeGpus();
+    const int slots_per_node = cluster.spec().node.cpuSlots();
+    return (request.cpu_slots + slots_per_node - 1) / slots_per_node <=
+           cluster.idleNodes();
+}
+
 std::optional<Allocation>
 DensePlacement::placeGpuJob(const sim::Cluster &cluster,
                             const JobRequest &request) const

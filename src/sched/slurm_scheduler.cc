@@ -21,6 +21,7 @@ struct SchedMetrics
     obs::Counter &backfill_attempts;
     obs::Counter &backfill_hits;
     obs::Counter &placement_failures;
+    obs::Counter &placement_skips;
     obs::Counter &jobs_started;
     obs::Counter &jobs_finished;
     obs::Histogram &pass_ns;
@@ -36,6 +37,7 @@ struct SchedMetrics
             r.counter("aiwc.sched.backfill_attempts"),
             r.counter("aiwc.sched.backfill_hits"),
             r.counter("aiwc.sched.placement_failures"),
+            r.counter("aiwc.sched.placement_skips"),
             r.counter("aiwc.sched.jobs_started"),
             r.counter("aiwc.sched.jobs_finished"),
             r.histogram("aiwc.sched.pass_ns"),
@@ -51,14 +53,6 @@ SlurmScheduler::SlurmScheduler(sim::Simulation &sim, sim::Cluster &cluster,
                                SchedulerOptions options)
     : sim_(sim), cluster_(cluster), options_(options)
 {
-}
-
-Job &
-SlurmScheduler::mutableJob(JobId id)
-{
-    const auto it = index_.find(id);
-    AIWC_CHECK(it != index_.end(), "unknown job id ", id);
-    return jobs_[it->second];
 }
 
 const Job &
@@ -94,24 +88,36 @@ SlurmScheduler::submit(const JobRequest &request)
         return;
     }
 
-    index_.emplace(request.id, jobs_.size());
+    const std::size_t slot = jobs_.size();
+    index_.emplace(request.id, slot);
     Job record;
     record.request = request;
     jobs_.push_back(std::move(record));
     ++stats_.submitted;
 
-    const JobId id = request.id;
     if (request.submit_time > sim_.now()) {
-        sim_.at(request.submit_time, [this, id] { arrive(id); });
+        sim_.at(request.submit_time, [this, slot] { arrive(slot); });
     } else {
-        arrive(id);
+        arrive(slot);
     }
 }
 
 void
-SlurmScheduler::arrive(JobId id)
+SlurmScheduler::arrive(std::size_t slot)
 {
-    queue_.push_back(id);
+    const QueueEntry entry{staticKey(jobs_[slot]), slot};
+    if (options_.fairshare) {
+        queue_.push_back(entry);
+    } else {
+        // After every equal key: the order "append, then stable_sort"
+        // gives, without the sort.
+        const auto at = std::upper_bound(
+            queue_.begin(), queue_.end(), entry,
+            [](const QueueEntry &a, const QueueEntry &b) {
+                return a.key < b.key;
+            });
+        queue_.insert(at, entry);
+    }
     armFastPass();
     armBackfillPass();
 }
@@ -135,7 +141,7 @@ SlurmScheduler::armBackfillPass()
     // some request can never be placed — a scheduler bug, not load.
     if (sim_.now() > options_.wedge_watchdog_days * one_day &&
         !queue_.empty()) {
-        const Job &head = job(queue_.front());
+        const Job &head = jobs_[queue_.front().slot];
         panic("scheduler wedged: queue depth ", queue_.size(),
               ", running ", running_.size(), ", head job ",
               head.request.id, " gpus=", head.request.gpus,
@@ -182,7 +188,7 @@ SlurmScheduler::chargeUsage(UserId user, double gpu_seconds)
 }
 
 Seconds
-SlurmScheduler::priorityKey(const Job &job) const
+SlurmScheduler::staticKey(const Job &job) const
 {
     // FCFS by submit time, with multi-GPU seniority: each requested
     // GPU is worth gpu_priority_boost seconds of queue age.
@@ -192,6 +198,13 @@ SlurmScheduler::priorityKey(const Job &job) const
     // SLA seniority (zero by default): latency-sensitive classes can
     // buy virtual queue age, scavenger classes can give it back.
     key -= options_.sla_boost[static_cast<std::size_t>(job.request.sla)];
+    return key;
+}
+
+Seconds
+SlurmScheduler::priorityKey(const Job &job) const
+{
+    Seconds key = staticKey(job);
     if (options_.fairshare) {
         // Heavy recent consumers age backwards: one decayed GPU-hour
         // costs fairshare_weight seconds of seniority.
@@ -214,72 +227,93 @@ SlurmScheduler::schedulePass(bool with_backfill)
                                 with_backfill ? "sched.pass.backfill"
                                               : "sched.pass.fast");
 
-    std::stable_sort(queue_.begin(), queue_.end(),
-                     [this](JobId a, JobId b) {
-                         return priorityKey(job(a)) < priorityKey(job(b));
-                     });
+    if (options_.fairshare) {
+        // Usage decays between passes, so the keys move: re-sort.
+        std::stable_sort(queue_.begin(), queue_.end(),
+                         [this](const QueueEntry &a, const QueueEntry &b) {
+                             return priorityKey(jobs_[a.slot]) <
+                                    priorityKey(jobs_[b.slot]);
+                         });
+    }
+
+    // Tallied here and published once at the end of the pass.
+    int failures = 0, skips = 0, attempts = 0, hits = 0;
+    // A request the O(1) capacity check rules out is not probed.
+    const auto try_place = [&](const JobRequest &request) {
+        if (!placement_.capacityAllows(cluster_, request)) {
+            ++skips;
+            return std::optional<Allocation>{};
+        }
+        return placement_.place(cluster_, request);
+    };
 
     // Fast path: start queue-head jobs in priority order until the
     // first one that does not fit.
     while (!queue_.empty()) {
-        const JobId head = queue_.front();
-        auto plan = placement_.place(cluster_, job(head).request);
+        const std::size_t head = queue_.front().slot;
+        auto plan = try_place(jobs_[head].request);
         if (!plan) {
-            metrics.placement_failures.add(1);
+            ++failures;
             break;
         }
         queue_.pop_front();
         start(head, std::move(*plan), /*via_backfill=*/false);
     }
-    if (queue_.empty() || !with_backfill)
-        return;
 
-    // EASY backfill around the blocked head.
-    const JobRequest &head = job(queue_.front()).request;
-    std::vector<RunningFootprint> running;
-    running.reserve(running_.size());
-    const int slots_per_node = cluster_.spec().node.cpuSlots();
-    for (JobId id : running_) {
-        const Job &r = job(id);
-        RunningFootprint fp;
-        fp.expected_end = r.start_time + r.request.walltime_limit;
-        fp.gpus = r.request.gpus;
-        if (!r.request.isGpuJob()) {
-            fp.whole_nodes = (r.request.cpu_slots + slots_per_node - 1) /
-                             slots_per_node;
+    if (with_backfill && !queue_.empty()) {
+        // EASY backfill around the blocked head.
+        const JobRequest &head = jobs_[queue_.front().slot].request;
+        std::vector<RunningFootprint> running;
+        running.reserve(running_.size());
+        const int slots_per_node = cluster_.spec().node.cpuSlots();
+        for (std::size_t slot : running_) {
+            const Job &r = jobs_[slot];
+            RunningFootprint fp;
+            fp.expected_end = r.start_time + r.request.walltime_limit;
+            fp.gpus = r.request.gpus;
+            if (!r.request.isGpuJob()) {
+                fp.whole_nodes =
+                    (r.request.cpu_slots + slots_per_node - 1) /
+                    slots_per_node;
+            }
+            running.push_back(fp);
         }
-        running.push_back(fp);
-    }
-    const BackfillWindow window =
-        computeWindow(cluster_, running, head, sim_.now());
+        const BackfillWindow window =
+            computeWindow(cluster_, running, head, sim_.now());
 
-    int scanned = 0;
-    for (auto it = std::next(queue_.begin());
-         it != queue_.end() && scanned < options_.backfill_depth;) {
-        ++scanned;
-        metrics.backfill_attempts.add(1);
-        const JobRequest &candidate = job(*it).request;
-        if (!mayBackfill(window, candidate, cluster_.spec(), sim_.now())) {
-            ++it;
-            continue;
+        for (auto it = std::next(queue_.begin());
+             it != queue_.end() && attempts < options_.backfill_depth;) {
+            ++attempts;
+            const std::size_t slot = it->slot;
+            const JobRequest &candidate = jobs_[slot].request;
+            if (!mayBackfill(window, candidate, cluster_.spec(),
+                             sim_.now())) {
+                ++it;
+                continue;
+            }
+            auto plan = try_place(candidate);
+            if (!plan) {
+                ++failures;
+                ++it;
+                continue;
+            }
+            it = queue_.erase(it);
+            ++hits;
+            start(slot, std::move(*plan), /*via_backfill=*/true);
         }
-        auto plan = placement_.place(cluster_, candidate);
-        if (!plan) {
-            metrics.placement_failures.add(1);
-            ++it;
-            continue;
-        }
-        const JobId id = *it;
-        it = queue_.erase(it);
-        metrics.backfill_hits.add(1);
-        start(id, std::move(*plan), /*via_backfill=*/true);
     }
+
+    metrics.placement_failures.add(static_cast<std::uint64_t>(failures));
+    metrics.placement_skips.add(static_cast<std::uint64_t>(skips));
+    metrics.backfill_attempts.add(static_cast<std::uint64_t>(attempts));
+    metrics.backfill_hits.add(static_cast<std::uint64_t>(hits));
 }
 
 void
-SlurmScheduler::start(JobId id, Allocation plan, bool via_backfill)
+SlurmScheduler::start(std::size_t slot, Allocation plan, bool via_backfill)
 {
-    Job &record = mutableJob(id);
+    Job &record = jobs_[slot];
+    const JobId id = record.request.id;
     AIWC_CHECK(record.state == JobState::Queued,
                 "starting a non-queued job ", id);
 
@@ -288,7 +322,7 @@ SlurmScheduler::start(JobId id, Allocation plan, bool via_backfill)
     record.state = JobState::Running;
     record.start_time = sim_.now();
     record.backfilled = via_backfill;
-    running_.push_back(id);
+    running_.push_back(slot);
     ++stats_.started;
     if (via_backfill)
         ++stats_.backfilled;
@@ -306,22 +340,23 @@ SlurmScheduler::start(JobId id, Allocation plan, bool via_backfill)
     if (prolog_)
         prolog_(record);
 
-    sim_.after(record.request.observedDuration(), [this, id] { finish(id); });
+    sim_.after(record.request.observedDuration(),
+               [this, slot] { finish(slot); });
 }
 
 void
-SlurmScheduler::finish(JobId id)
+SlurmScheduler::finish(std::size_t slot)
 {
-    Job &record = mutableJob(id);
+    Job &record = jobs_[slot];
     AIWC_CHECK(record.state == JobState::Running,
-                "finishing a non-running job ", id);
+                "finishing a non-running job ", record.request.id);
 
     record.state = JobState::Finished;
     record.end_time = sim_.now();
     record.terminal = record.request.observedEnd();
     placement_.release(cluster_, record.allocation);
 
-    const auto it = std::find(running_.begin(), running_.end(), id);
+    const auto it = std::find(running_.begin(), running_.end(), slot);
     AIWC_CHECK(it != running_.end(), "finished job not in running set");
     running_.erase(it);
 
@@ -369,20 +404,27 @@ SlurmScheduler::auditInvariants() const
     AIWC_CHECK_LE(queue_.size(), queued_state,
                   "queue deque holds non-Queued jobs");
 
-    for (JobId id : queue_) {
-        const Job &queued = job(id);
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+        const Job &queued = jobs_[it->slot];
+        const JobId id = queued.request.id;
         AIWC_CHECK(queued.state == JobState::Queued,
                    "queued job ", id, " is not in the Queued state");
         AIWC_CHECK(queued.allocation.empty(),
                    "queued job ", id, " already holds an allocation");
+        AIWC_CHECK_EQ(it->key, staticKey(queued),
+                      "queued job ", id, " carries a stale priority key");
+        if (!options_.fairshare && it != queue_.begin())
+            AIWC_CHECK_LE(std::prev(it)->key, it->key,
+                          "queue out of priority order at job ", id);
     }
 
     // Every running job's allocation must be exactly backed by cluster
     // state; counting the allocated GPUs also catches the converse — a
     // busy GPU no running job accounts for (a leak).
     std::size_t allocated_gpus = 0;
-    for (JobId id : running_) {
-        const Job &running_job = job(id);
+    for (std::size_t slot : running_) {
+        const Job &running_job = jobs_[slot];
+        const JobId id = running_job.request.id;
         AIWC_CHECK(running_job.state == JobState::Running,
                    "job ", id, " in the running set is not Running");
         AIWC_CHECK(!running_job.allocation.empty(),

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "aiwc/base/check.hh"
+#include "aiwc/common/rng.hh"
 #include "aiwc/sim/cluster_factory.hh"
 #include "aiwc/sim/resources.hh"
 
@@ -257,6 +260,99 @@ TEST(ClusterAudit, GpuLookupReturnsMappedGpu)
     EXPECT_EQ(cluster.gpu(4).node(), 2u);
     ScopedCheckFailHandler guard;
     EXPECT_THROW(cluster.gpu(6), ContractViolation);
+}
+
+TEST(NodeAudit, DetectsGpuFlippedBehindTheFreeCount)
+{
+    ScopedCheckFailHandler guard;
+    Cluster cluster(tinySpec());
+    Node &node = cluster.node(0);
+    node.allocateCpu(4, 8.0);  // resident, so only the recount can fire
+    node.gpus()[0].assign(42);
+    EXPECT_EQ(node.freeGpus(), 2);
+    EXPECT_THROW(node.auditInvariants(), ContractViolation);
+}
+
+TEST(ClusterSummary, MatchesRecountUnderRandomAllocation)
+{
+    // Random allocate/release steps in any order, including zero-slot
+    // CPU claims and GPUs held without CPU: after every step the cached
+    // counts must equal a brute-force recount.
+    struct CpuHold
+    {
+        NodeId node;
+        int slots;
+        double ram;
+    };
+    struct GpuHold
+    {
+        NodeId node;
+        GpuId gpu;
+    };
+    Cluster cluster(tinySpec(4));
+    const int slots_per_node = cluster.spec().node.cpuSlots();
+    Rng rng(2024);
+    std::vector<CpuHold> cpu;
+    std::vector<GpuHold> gpu;
+    JobId next_job = 1;
+    for (int step = 0; step < 4000; ++step) {
+        const auto n = static_cast<NodeId>(rng.below(cluster.numNodes()));
+        Node &node = cluster.node(n);
+        switch (rng.below(4)) {
+          case 0: {
+            const int slots =
+                rng.chance(0.3)
+                    ? node.freeCpuSlots()
+                    : static_cast<int>(rng.below(
+                          static_cast<std::uint64_t>(node.freeCpuSlots()) +
+                          1));
+            const double ram = node.freeRamGb() * rng.uniform(0.0, 0.5);
+            node.allocateCpu(slots, ram);
+            cpu.push_back({n, slots, ram});
+            break;
+          }
+          case 1: {
+            if (node.freeGpus() == 0)
+                break;
+            const int count = 1 + static_cast<int>(rng.below(
+                                      static_cast<std::uint64_t>(
+                                          node.freeGpus())));
+            for (GpuId id : node.allocateGpus(next_job++, count))
+                gpu.push_back({n, id});
+            break;
+          }
+          case 2: {
+            if (gpu.empty())
+                break;
+            const auto i = rng.below(gpu.size());
+            cluster.node(gpu[i].node).releaseGpu(gpu[i].gpu);
+            gpu.erase(gpu.begin() + static_cast<std::ptrdiff_t>(i));
+            break;
+          }
+          default: {
+            if (cpu.empty())
+                break;
+            const auto i = rng.below(cpu.size());
+            cluster.node(cpu[i].node).releaseCpu(cpu[i].slots, cpu[i].ram);
+            cpu.erase(cpu.begin() + static_cast<std::ptrdiff_t>(i));
+            break;
+          }
+        }
+
+        int free_gpus = 0, idle_nodes = 0;
+        for (const Node &each : cluster.nodes()) {
+            int here = 0;
+            for (const Gpu &g : each.gpus())
+                here += !g.busy();
+            ASSERT_EQ(each.freeGpus(), here) << "node " << each.id();
+            free_gpus += here;
+            idle_nodes += each.freeCpuSlots() == slots_per_node;
+        }
+        ASSERT_EQ(cluster.freeGpus(), free_gpus) << "step " << step;
+        ASSERT_EQ(cluster.idleNodes(), idle_nodes) << "step " << step;
+    }
+    EXPECT_FALSE(cpu.empty());
+    EXPECT_FALSE(gpu.empty());
 }
 
 TEST(ClusterSpec, SupercloudTotalsMatchTableOne)
