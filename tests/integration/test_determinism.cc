@@ -40,6 +40,7 @@
 #include "aiwc/core/user_behavior_analyzer.hh"
 #include "aiwc/core/utilization_analyzer.hh"
 #include "aiwc/stream/pipeline.hh"
+#include "aiwc/svc/service.hh"
 #include "aiwc/workload/trace_synthesizer.hh"
 
 namespace aiwc
@@ -412,6 +413,68 @@ TEST(Determinism, StreamSnapshotIsThreadCountInvariant)
 
     EXPECT_EQ(serial.rows, trace.dataset.size());
     EXPECT_EQ(snapshotDigest(serial), snapshotDigest(threaded));
+}
+
+/**
+ * Digest of a multi-tenant service run shaped like the service's real
+ * callers: `base` amplified to 24k records over 400 users, routed to
+ * tenant = user mod 8 in 128-record batches, with every tenant
+ * snapshotted mid-stream and again at the end. snapshotDigest leaves
+ * out sketch_bytes, which reports memory rather than figures.
+ */
+std::uint64_t
+serviceDigest(const std::vector<core::JobRecord> &base)
+{
+    constexpr std::uint64_t tenants = 8;
+    constexpr std::uint64_t users = 400;
+    constexpr std::size_t records = 24'000;
+    constexpr std::size_t batch = 128;
+    svc::Service service;
+    std::vector<std::vector<core::JobRecord>> pending(tenants);
+    const auto flush = [&](std::uint64_t tenant) {
+        if (pending[tenant].empty())
+            return;
+        EXPECT_EQ(service.enqueueBatch(tenant, std::move(pending[tenant])),
+                  svc::Admission::Accepted);
+        pending[tenant].clear();
+    };
+    std::ostringstream digests;
+    const auto snapshotAll = [&] {
+        for (std::uint64_t t = 0; t < tenants; ++t)
+            flush(t);
+        service.drain();
+        for (std::uint64_t t = 0; t < tenants; ++t) {
+            const auto snap = service.snapshot(t);
+            // A positive bound means the KLL sketches have compacted.
+            EXPECT_GT(snap.epsilon, 0.0) << "tenant " << t;
+            digests << snapshotDigest(snap) << '|';
+        }
+    };
+    for (std::size_t i = 0; i < records; ++i) {
+        core::JobRecord rec = base[i % base.size()];
+        rec.id = static_cast<JobId>(i);
+        rec.user = static_cast<UserId>((i * 2654435761ull >> 7) % users);
+        const std::uint64_t tenant = rec.user % tenants;
+        pending[tenant].push_back(std::move(rec));
+        if (pending[tenant].size() == batch)
+            flush(tenant);
+        if ((i + 1) % 4096 == 0)
+            service.drain();
+        if (i + 1 == records / 2)
+            snapshotAll();
+    }
+    snapshotAll();
+    return fnv1a(digests.str());
+}
+
+TEST(Determinism, ServiceSnapshotsMatchPinnedDigest)
+{
+    // Pins what Service::snapshot renders, so a change to how the
+    // service holds its per-tenant sketch state must keep every
+    // mid-stream and final figure byte-identical.
+    const auto trace = synthesize(1234);
+    ASSERT_GT(trace.dataset.size(), 0u);
+    EXPECT_EQ(serviceDigest(trace.dataset.records()), 0x5801ce616f0935b2ull);
 }
 
 TEST(Determinism, BinaryTraceMatchesCsvAcrossThreadCounts)
