@@ -139,9 +139,7 @@ runOnce(const std::vector<aiwc::core::JobRecord> &base,
     using namespace aiwc;
     setGlobalThreadCount(threads);
 
-    svc::ServiceOptions opts;
-    opts.shards_per_tenant = 2;
-    svc::Service service(opts);
+    svc::Service service;
 
     std::vector<std::vector<core::JobRecord>> pending(tenants);
     const std::uint64_t milestone_every =

@@ -6,16 +6,17 @@
  *
  * The engine is strictly serial and deterministic — the ScenarioRunner
  * gets its parallelism by simulating independent cells concurrently,
- * so a cell's result is a pure function of (spec, tasks, policy,
- * options) and byte-identical at any thread count.
+ * so a cell's result is a pure function of (spec, tasks, policy) and
+ * byte-identical at any thread count.
  *
  * Speed model: a task's expected_runtime is defined at the 1000-MIPS
  * reference core; running at P-state p on a class with mips[p] = M
- * scales it by 1000/M, an ISA mismatch by isa_mismatch_penalty, and a
- * GPU task by 1/gpu_relative_speed instead. SLA accounting: a task
- * violates when service time (arrival to completion, including queue
- * wait, wake latency, and migrations) exceeds its class factor times
- * its expected runtime plus a flat grace; scavenger work never
+ * scales it by 1000/M, an ISA mismatch by 1.25, and a GPU task by
+ * 1/gpu_relative_speed instead. A migration pauses the task for 30 s.
+ * SLA accounting: a task violates when service time (arrival to
+ * completion, including queue wait, wake latency, and migrations)
+ * exceeds its class factor (1.5 latency-sensitive, 3.0 batch) times
+ * its expected runtime plus a flat 5 s grace; scavenger work never
  * violates. A dropped task (one no machine in the cell could ever
  * host) counts as a violation unless it is scavenger-class — a cell
  * that refuses the workload must not look SLA-perfect.
@@ -31,17 +32,6 @@
 
 namespace aiwc::scenario
 {
-
-/** Engine tunables (defaults are the documented reference model). */
-struct EngineOptions
-{
-    Seconds migration_cost = 30.0;     //!< pause per migration
-    Seconds sla_grace = 5.0;           //!< flat allowance per task
-    double latency_sla_factor = 1.5;   //!< service / expected bound
-    double batch_sla_factor = 3.0;
-    double reference_mips = 1000.0;
-    double isa_mismatch_penalty = 1.25;
-};
 
 /** Queue-wait quantiles for one SLA class (KLL-sketched). */
 struct WaitQuantiles
@@ -71,13 +61,11 @@ struct CellStats
 /** Simulate a homogeneous cell: `count` machines of one class. */
 CellStats simulateCell(const MachineClassSpec &cls, int count,
                        const std::vector<Task> &tasks,
-                       const SchedulingPolicy &policy,
-                       const EngineOptions &options = {});
+                       const SchedulingPolicy &policy);
 
 /** Simulate a whole heterogeneous fleet (all classes in the spec). */
 CellStats simulateFleet(const ScenarioSpec &spec,
                         const std::vector<Task> &tasks,
-                        const SchedulingPolicy &policy,
-                        const EngineOptions &options = {});
+                        const SchedulingPolicy &policy);
 
 } // namespace aiwc::scenario

@@ -33,7 +33,6 @@ namespace aiwc::scenario
 struct SweepOptions
 {
     std::uint64_t seed = 2022;          //!< task-typing seed
-    EngineOptions engine;
     /**
      * Machines simulated per cell: each machine class is evaluated as
      * a homogeneous fleet of min(class count, machines_per_cell)

@@ -10,7 +10,9 @@
  * ingest() folds one record, merge() combines two pipelines, and
  * ingestParallel() shard-fans a batch through parallelReduce with
  * shard-index-order merges — so the resulting state, and therefore
- * every snapshot, is byte-identical at any thread count.
+ * every snapshot, is byte-identical at any thread count. Every
+ * pipeline has the one geometry in stream/geometry.hh, so any two
+ * pipelines merge.
  */
 
 #pragma once
@@ -18,11 +20,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "aiwc/base/mutex.hh"
 #include "aiwc/base/thread_annotations.hh"
-#include "aiwc/common/types.hh"
 #include "aiwc/core/job_record.hh"
 #include "aiwc/sketch/reservoir.hh"
 #include "aiwc/stream/power.hh"
@@ -33,27 +33,6 @@
 
 namespace aiwc::stream
 {
-
-/** Geometry and filter knobs shared by every analyzer in a pipeline. */
-struct StreamOptions
-{
-    /** KLL compactor capacity; error shrinks as 1/kll_k. */
-    std::uint32_t kll_k = 256;
-    /** Users tracked by the GPU-hours heavy-hitters sketch. */
-    std::size_t heavy_hitter_capacity = 32;
-    /** Exemplar jobs kept by the deterministic reservoir. */
-    std::size_t reservoir_capacity = 64;
-    /** Seed for sketch compaction coins and reservoir priorities. */
-    std::uint64_t sketch_seed = 0;
-    /** GPU-job runtime filter, seconds (paper's 30 s debris cut). */
-    Seconds min_gpu_runtime = 30.0;
-    /** Power caps evaluated in the Fig. 9b what-if, watts. */
-    std::vector<double> power_caps = {150.0, 200.0, 250.0};
-    /** Quantile levels sampled when rendering sketch CDFs. */
-    int snapshot_points = 201;
-
-    bool operator==(const StreamOptions &) const = default;
-};
 
 /**
  * Single-pass streaming pipeline over JobRecords. Memory is bounded by
@@ -76,7 +55,7 @@ struct StreamOptions
 class StreamPipeline
 {
   public:
-    explicit StreamPipeline(StreamOptions options = {});
+    StreamPipeline();
 
     /** Copies lock @p other, so a concurrently-fed source is safe. */
     StreamPipeline(const StreamPipeline &other);
@@ -85,10 +64,7 @@ class StreamPipeline
     /** Fold one record into every analyzer. */
     void ingest(const core::JobRecord &rec);
 
-    /**
-     * Fold another pipeline in. Both must have been constructed with
-     * identical options (AIWC_CHECK) so sketch geometries line up.
-     */
+    /** Fold another pipeline in; @p other must not be this one. */
     void merge(const StreamPipeline &other);
 
     /**
@@ -105,8 +81,6 @@ class StreamPipeline
 
     /** Current sketch + per-user-table footprint, bytes. */
     std::size_t sketchBytes() const;
-
-    const StreamOptions &options() const { return options_; }
 
     // Per-figure analyzers, exposed for the equivalence harnesses.
     // Invariant: these lock-free reads are sanctioned for the
@@ -154,8 +128,6 @@ class StreamPipeline
      * snapshot() is const yet must exclude concurrent mutation.
      */
     mutable Mutex mutex_;
-    /** Immutable after construction; operator= holds both locks. */
-    StreamOptions options_;
     std::uint64_t rows_ AIWC_GUARDED_BY(mutex_) = 0;
     std::uint64_t gpu_jobs_ AIWC_GUARDED_BY(mutex_) = 0;
     std::uint64_t cpu_jobs_ AIWC_GUARDED_BY(mutex_) = 0;
@@ -174,21 +146,6 @@ class StreamPipeline
  * span up to sketch compaction boundaries, and bit-identical across
  * thread counts by construction.
  */
-StreamPipeline ingestParallel(std::span<const core::JobRecord> records,
-                              const StreamOptions &options = {});
-
-/**
- * The shard-merge snapshot path: fold the shard pipelines into a fresh
- * accumulator **in shard-index order** (the proven-deterministic merge
- * order) and render that. All shards must share identical options
- * (AIWC_CHECK via merge), and @p shards must be non-empty.
- *
- * Each shard is copied under its own lock, so the view of any single
- * shard is consistent even while that shard is still being fed;
- * cross-shard consistency (every shard at the same stream position)
- * requires the caller to quiesce ingestion first, which is what
- * aiwc::svc's per-tenant drain lock provides.
- */
-SnapshotReport snapshotShards(std::span<const StreamPipeline> shards);
+StreamPipeline ingestParallel(std::span<const core::JobRecord> records);
 
 } // namespace aiwc::stream

@@ -10,10 +10,10 @@
 #include <cstddef>
 #include <vector>
 
-#include "aiwc/common/types.hh"
 #include "aiwc/core/job_record.hh"
 #include "aiwc/core/power_analyzer.hh"
 #include "aiwc/sketch/kll.hh"
+#include "aiwc/stream/geometry.hh"
 
 namespace aiwc::stream
 {
@@ -28,32 +28,27 @@ namespace aiwc::stream
 class StreamingPower
 {
   public:
-    StreamingPower(std::uint32_t kll_k, std::uint64_t seed,
-                   Seconds min_gpu_runtime,
-                   std::vector<double> caps = {150.0, 200.0, 250.0});
-
     /** Fold one record in; ignores CPU and sub-filter jobs. */
     void observe(const core::JobRecord &rec);
 
-    /** Fold another accumulator in; cap lists must match (CHECK). */
+    /** Fold another accumulator in (parallelReduce combine step). */
     void merge(const StreamingPower &other);
 
     const sketch::KllSketch &avgWatts() const { return avg_watts_; }
     const sketch::KllSketch &maxWatts() const { return max_watts_; }
 
-    /** Fig. 9b impacts from the sketched CDFs; empty sketch => empty. */
+    /**
+     * Fig. 9b impacts at each of stream::power_caps from the sketched
+     * CDFs; empty sketch => empty.
+     */
     std::vector<core::PowerCapImpact> capImpacts() const;
-
-    const std::vector<double> &caps() const { return caps_; }
 
     /** Footprint of both sketches, bytes. */
     std::size_t bytes() const;
 
   private:
-    Seconds min_gpu_runtime_;
-    std::vector<double> caps_;
-    sketch::KllSketch avg_watts_;
-    sketch::KllSketch max_watts_;
+    sketch::KllSketch avg_watts_{kll_k, sketch_seed};
+    sketch::KllSketch max_watts_{kll_k, sketch_seed};
 };
 
 } // namespace aiwc::stream

@@ -9,9 +9,9 @@
 
 #include <cstddef>
 
-#include "aiwc/common/types.hh"
 #include "aiwc/core/job_record.hh"
 #include "aiwc/sketch/kll.hh"
+#include "aiwc/stream/geometry.hh"
 
 namespace aiwc::stream
 {
@@ -19,20 +19,11 @@ namespace aiwc::stream
 /**
  * Mergeable streaming counterpart of core::ServiceTimeAnalyzer.
  * Applies the same population split as the batch path: GPU jobs pass
- * the minimum-runtime filter; CPU jobs are unfiltered.
+ * the core::min_gpu_runtime filter; CPU jobs are unfiltered.
  */
 class StreamingServiceTime
 {
   public:
-    /**
-     * @param kll_k compactor capacity shared by all sketches.
-     * @param seed sketch seed (see KllSketch).
-     * @param min_gpu_runtime GPU-job runtime filter, seconds (the
-     *     paper's 30 s debris cut).
-     */
-    StreamingServiceTime(std::uint32_t kll_k, std::uint64_t seed,
-                         Seconds min_gpu_runtime);
-
     /** Fold one record in; applies the population filters itself. */
     void observe(const core::JobRecord &rec);
 
@@ -56,13 +47,12 @@ class StreamingServiceTime
     std::size_t bytes() const;
 
   private:
-    Seconds min_gpu_runtime_;
-    sketch::KllSketch gpu_runtime_min_;
-    sketch::KllSketch cpu_runtime_min_;
-    sketch::KllSketch gpu_wait_s_;
-    sketch::KllSketch cpu_wait_s_;
-    sketch::KllSketch gpu_wait_pct_;
-    sketch::KllSketch cpu_wait_pct_;
+    sketch::KllSketch gpu_runtime_min_{kll_k, sketch_seed};
+    sketch::KllSketch cpu_runtime_min_{kll_k, sketch_seed};
+    sketch::KllSketch gpu_wait_s_{kll_k, sketch_seed};
+    sketch::KllSketch cpu_wait_s_{kll_k, sketch_seed};
+    sketch::KllSketch gpu_wait_pct_{kll_k, sketch_seed};
+    sketch::KllSketch cpu_wait_pct_{kll_k, sketch_seed};
 };
 
 } // namespace aiwc::stream

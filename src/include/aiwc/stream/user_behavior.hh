@@ -19,6 +19,7 @@
 #include "aiwc/core/user_behavior_analyzer.hh"
 #include "aiwc/sketch/heavy_hitters.hh"
 #include "aiwc/sketch/moments.hh"
+#include "aiwc/stream/geometry.hh"
 
 namespace aiwc::stream
 {
@@ -32,16 +33,6 @@ namespace aiwc::stream
 class StreamingUserBehavior
 {
   public:
-    /**
-     * @param heavy_hitter_capacity tracked users in the GPU-hours
-     *     top-k sketch.
-     * @param min_gpu_runtime GPU-job runtime filter, seconds.
-     * @param min_jobs_for_cov users below this report NaN CoVs.
-     */
-    StreamingUserBehavior(std::size_t heavy_hitter_capacity,
-                          Seconds min_gpu_runtime,
-                          std::size_t min_jobs_for_cov = 2);
-
     /** Fold one record in; ignores CPU and sub-filter jobs. */
     void observe(const core::JobRecord &rec);
 
@@ -53,8 +44,8 @@ class StreamingUserBehavior
 
     /**
      * Per-user summaries in ascending user-id order, mirroring
-     * core::UserBehaviorAnalyzer::summarize: CoV fields stay 0 below
-     * min_jobs_for_cov and are NaN for zero-mean series (the
+     * core::UserBehaviorAnalyzer::summarize: CoV fields stay 0 for
+     * users with a single job and are NaN for zero-mean series (the
      * stats::covPercent convention).
      */
     std::vector<core::UserSummary> summaries() const;
@@ -88,12 +79,10 @@ class StreamingUserBehavior
         void merge(const UserAccum &other);
     };
 
-    Seconds min_gpu_runtime_;
-    std::size_t min_jobs_for_cov_;
     // Ordered map: summaries() iterates in user-id order, matching the
     // batch analyzer's output order (det-unordered-iter rule).
     std::map<UserId, UserAccum> users_;
-    sketch::HeavyHitters hours_topk_;
+    sketch::HeavyHitters hours_topk_{heavy_hitter_capacity};
 };
 
 } // namespace aiwc::stream

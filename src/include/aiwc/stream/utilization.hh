@@ -13,6 +13,7 @@
 #include "aiwc/common/types.hh"
 #include "aiwc/core/job_record.hh"
 #include "aiwc/sketch/kll.hh"
+#include "aiwc/stream/geometry.hh"
 
 namespace aiwc::stream
 {
@@ -25,9 +26,6 @@ namespace aiwc::stream
 class StreamingUtilization
 {
   public:
-    StreamingUtilization(std::uint32_t kll_k, std::uint64_t seed,
-                         Seconds min_gpu_runtime);
-
     /** Fold one record in; ignores CPU and sub-filter jobs. */
     void observe(const core::JobRecord &rec);
 
@@ -44,8 +42,12 @@ class StreamingUtilization
     /** Utilization axes sketched (Power is PowerAnalyzer's job). */
     static constexpr std::size_t num_axes = 5;
 
-    Seconds min_gpu_runtime_;
-    std::array<sketch::KllSketch, num_axes> pct_;
+    std::array<sketch::KllSketch, num_axes> pct_{
+        sketch::KllSketch(kll_k, sketch_seed),
+        sketch::KllSketch(kll_k, sketch_seed),
+        sketch::KllSketch(kll_k, sketch_seed),
+        sketch::KllSketch(kll_k, sketch_seed),
+        sketch::KllSketch(kll_k, sketch_seed)};
 };
 
 } // namespace aiwc::stream

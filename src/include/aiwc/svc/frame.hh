@@ -102,7 +102,4 @@ std::vector<std::uint8_t> encodeJobBatch(
  */
 DecodedFrame decodeFrame(std::span<const std::uint8_t> buffer);
 
-/** CRC-32 (IEEE 802.3 polynomial), exposed for tests and tooling. */
-std::uint32_t crc32(std::span<const std::uint8_t> bytes);
-
 } // namespace aiwc::svc

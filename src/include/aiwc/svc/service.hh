@@ -1,6 +1,6 @@
 /**
  * @file
- * The multi-tenant streaming characterization service: one sharded
+ * The multi-tenant streaming characterization service: one
  * StreamPipeline per tenant behind a frame-decoding front door. This
  * is the daemon shape of the ROADMAP north star — many clusters
  * (tenants) feed JobRecord batches over the wire, and operators pull
@@ -13,19 +13,16 @@
  *    ServiceOptions::queue_budget_records the batch is refused with
  *    Admission::Backpressure (an empty queue always admits, so a
  *    single oversized batch cannot wedge a tenant forever).
- *  - drain() moves queued batches into the tenant's shard pipelines,
- *    fanning across tenants with parallelFor. Records route to shard
- *    `user % shards_per_tenant` — a pure function of the record,
- *    never of the thread count or arrival interleaving, so the
+ *  - drain() moves queued batches into each tenant's pipeline in
+ *    queue order, one batch per tenant-lock hold, fanning across
+ *    tenants with parallelFor. A tenant's batches apply in the order
+ *    they were admitted, never depending on the thread count, so the
  *    post-drain state (and every snapshot digest) is byte-identical
- *    at 1 or 8 drain threads. User-keyed routing also pins each
- *    user's per-user accumulator to one shard, keeping the tenant's
- *    total user-table footprint O(users) instead of
- *    O(users x shards).
- *  - snapshot() merges the tenant's shards in shard-index order
- *    (stream::snapshotShards) under the tenant mutex, so a snapshot
- *    is batch-atomic: it observes whole drained batches, never a
- *    half-applied one.
+ *    at 1 or 8 drain threads. The parallelism is across tenants; one
+ *    tenant's batches are applied one at a time.
+ *  - snapshot() renders the tenant's pipeline under the tenant mutex,
+ *    so a snapshot is batch-atomic: it observes whole drained
+ *    batches, never a half-applied one.
  */
 
 #pragma once
@@ -47,25 +44,15 @@
 namespace aiwc::svc
 {
 
-/** Capacity and geometry knobs for the service. */
+/** Deployment capacity of the service. */
 struct ServiceOptions
 {
-    /**
-     * StreamPipeline shards per tenant. More shards raise drain
-     * parallelism headroom and merge cost; the default suits the
-     * study's per-cluster volumes. Must be >= 1 (AIWC_CHECK).
-     */
-    std::size_t shards_per_tenant = 4;
-
     /**
      * Backpressure threshold: a batch is refused when the tenant's
      * queue already holds more than this many records. An empty queue
      * always admits. Must be >= 1 (AIWC_CHECK).
      */
     std::size_t queue_budget_records = 65536;
-
-    /** Sketch geometry shared by every tenant's shard pipelines. */
-    stream::StreamOptions stream;
 };
 
 /** Outcome of offering a batch to a tenant's queue. */
@@ -125,7 +112,7 @@ class Service
                            std::vector<core::JobRecord> &&batch);
 
     /**
-     * Move every queued batch into the shard pipelines, fanning
+     * Move every queued batch into its tenant's pipeline, fanning
      * across tenants on the global pool. @return records ingested.
      * Concurrent enqueues during a drain simply land in the queue for
      * the next drain; concurrent snapshots interleave at batch
@@ -134,9 +121,9 @@ class Service
     std::size_t drain();
 
     /**
-     * Merge-and-render the tenant's shards (stream::snapshotShards).
-     * Batch-atomic with respect to drain(). The tenant must exist
-     * (AIWC_CHECK) — probe with hasTenant() when unsure.
+     * Render the tenant's pipeline; sketch_bytes is its live
+     * footprint. Batch-atomic with respect to drain(). The tenant
+     * must exist (AIWC_CHECK) — probe with hasTenant() when unsure.
      */
     stream::SnapshotReport snapshot(std::uint64_t tenant) const;
 
@@ -148,10 +135,10 @@ class Service
     /** Records waiting in the tenant's queue (0 for unknown). */
     std::size_t queuedRecords(std::uint64_t tenant) const;
 
-    /** Records drained into the tenant's pipelines (0 for unknown). */
+    /** Records drained into the tenant's pipeline (0 for unknown). */
     std::uint64_t ingestedRecords(std::uint64_t tenant) const;
 
-    /** Sketch footprint summed over every tenant's shards, bytes. */
+    /** Sketch footprint summed over every tenant's pipeline, bytes. */
     std::size_t sketchBytes() const;
 
     const ServiceOptions &options() const { return options_; }
@@ -159,8 +146,6 @@ class Service
   private:
     struct Tenant
     {
-        explicit Tenant(const ServiceOptions &options);
-
         /** Guards everything below; see file-comment lock order. */
         mutable Mutex mutex;
         std::deque<std::vector<core::JobRecord>> queue
@@ -168,13 +153,10 @@ class Service
         std::size_t queued_records AIWC_GUARDED_BY(mutex) = 0;
         std::uint64_t ingested AIWC_GUARDED_BY(mutex) = 0;
         /**
-         * The vector's geometry is fixed at construction; the guarded
-         * state is the shard *elements*, which additionally serialize
-         * on their own pipeline mutexes (lock order: tenant before
+         * Also serializes on its own mutex (lock order: tenant before
          * pipeline, tools/aiwc-lint/locks.txt).
          */
-        std::vector<stream::StreamPipeline> shards
-            AIWC_GUARDED_BY(mutex);
+        stream::StreamPipeline pipeline AIWC_GUARDED_BY(mutex);
     };
 
     /** Find-or-create; returns a pointer stable for the Service's life. */

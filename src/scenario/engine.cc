@@ -13,6 +13,14 @@ namespace aiwc::scenario
 namespace
 {
 
+// The documented reference model; see the engine.hh file comment.
+constexpr Seconds migration_cost = 30.0;     //!< pause per migration
+constexpr Seconds sla_grace = 5.0;           //!< flat allowance per task
+constexpr double latency_sla_factor = 1.5;   //!< service / expected bound
+constexpr double batch_sla_factor = 3.0;
+constexpr double reference_mips = 1000.0;
+constexpr double isa_mismatch_penalty = 1.25;
+
 /** Engine-level observability; totals are order-independent sums. */
 struct EngineMetrics
 {
@@ -83,10 +91,9 @@ class CellSimulator
 {
   public:
     CellSimulator(Fleet fleet, const std::vector<Task> &tasks,
-                  const SchedulingPolicy &policy,
-                  const EngineOptions &options)
+                  const SchedulingPolicy &policy)
         : fleet_(std::move(fleet)), tasks_(tasks), policy_(policy),
-          options_(options), runs_(tasks.size()),
+          runs_(tasks.size()),
           wait_sketches_{sketch::KllSketch(128, 1), sketch::KllSketch(128, 2),
                          sketch::KllSketch(128, 3)}
     {
@@ -138,10 +145,10 @@ class CellSimulator
         if (task.gpus > 0) {
             dur = task.expected_runtime / cls.gpu_relative_speed;
         } else {
-            dur = task.expected_runtime * options_.reference_mips /
+            dur = task.expected_runtime * reference_mips /
                   cls.mipsAt(p);
             if (cls.cpu != task.preferred_isa)
-                dur *= options_.isa_mismatch_penalty;
+                dur *= isa_mismatch_penalty;
         }
         return dur > 1.0e-6 ? dur : 1.0e-6;
     }
@@ -272,10 +279,10 @@ class CellSimulator
         const Seconds service = now - task.arrival;
         const double factor =
             task.sla == SlaClass::LatencySensitive
-                ? options_.latency_sla_factor
-                : options_.batch_sla_factor;
+                ? latency_sla_factor
+                : batch_sla_factor;
         if (task.sla != SlaClass::Scavenger &&
-            service > factor * task.expected_runtime + options_.sla_grace)
+            service > factor * task.expected_runtime + sla_grace)
             ++stats_.sla_violations;
 
         drain(now);
@@ -363,7 +370,7 @@ class CellSimulator
         dst.place(demand, now);
         run.machine = mig.to_machine;
         run.placed_at = now;
-        run.run_start = now + options_.migration_cost;
+        run.run_start = now + migration_cost;
         run.run_end = run.run_start +
                       run.remaining * durationOn(dst, task, run.p_state);
         ++run.gen;
@@ -434,7 +441,6 @@ class CellSimulator
     Fleet fleet_;
     const std::vector<Task> &tasks_;
     const SchedulingPolicy &policy_;
-    EngineOptions options_;
 
     sim::EventQueue<TaskRef> events_;
     std::vector<Run> runs_;
@@ -448,20 +454,17 @@ class CellSimulator
 
 CellStats
 simulateCell(const MachineClassSpec &cls, int count,
-             const std::vector<Task> &tasks, const SchedulingPolicy &policy,
-             const EngineOptions &options)
+             const std::vector<Task> &tasks, const SchedulingPolicy &policy)
 {
     MachineClassSpec local = cls;
     normalize(local);
     const int n = count > 0 ? count : 1;
-    return CellSimulator(Fleet::homogeneous(local, n), tasks, policy,
-                         options)
-        .run();
+    return CellSimulator(Fleet::homogeneous(local, n), tasks, policy).run();
 }
 
 CellStats
 simulateFleet(const ScenarioSpec &spec, const std::vector<Task> &tasks,
-              const SchedulingPolicy &policy, const EngineOptions &options)
+              const SchedulingPolicy &policy)
 {
     ScenarioSpec local = spec;
     for (MachineClassSpec &m : local.machines)
@@ -480,8 +483,7 @@ simulateFleet(const ScenarioSpec &spec, const std::vector<Task> &tasks,
                                 static_cast<double>(tasks.size());
         return stats;
     }
-    return CellSimulator(Fleet::fromSpec(local), tasks, policy, options)
-        .run();
+    return CellSimulator(Fleet::fromSpec(local), tasks, policy).run();
 }
 
 } // namespace aiwc::scenario

@@ -148,8 +148,7 @@ ScenarioRunner::sweep(
         const int count = cls.count < options_.machines_per_cell
                               ? (cls.count > 0 ? cls.count : 1)
                               : options_.machines_per_cell;
-        cell.stats = simulateCell(cls, count, mix_tasks[mix_i], policy,
-                                  options_.engine);
+        cell.stats = simulateCell(cls, count, mix_tasks[mix_i], policy);
         if (pol_i == 0 && options_.planner_overlays)
             cell.overlay = computeOverlay(mix_slices[mix_i], cls,
                                           options_.min_overlay_gpu_jobs);
@@ -194,8 +193,7 @@ ScenarioRunner::sweepSynthetic(
         const int count = cls.count < options_.machines_per_cell
                               ? (cls.count > 0 ? cls.count : 1)
                               : options_.machines_per_cell;
-        cell.stats =
-            simulateCell(cls, count, tasks, policy, options_.engine);
+        cell.stats = simulateCell(cls, count, tasks, policy);
     });
     report.frontier = paretoFrontier(report.cells);
     RunnerMetrics::get().sweeps.add(1);

@@ -4,6 +4,7 @@
 
 #include "aiwc/base/check.hh"
 #include "aiwc/common/parallel.hh"
+#include "aiwc/core/dataset.hh"
 #include "aiwc/obs/metrics.hh"
 #include "aiwc/obs/trace.hh"
 
@@ -55,28 +56,17 @@ sketchBytesGauge()
 
 /** Render one KLL sketch through the ECDF plotting bridge. */
 stats::EmpiricalCdf
-renderCdf(const sketch::KllSketch &s, int points)
+renderCdf(const sketch::KllSketch &s)
 {
     return stats::EmpiricalCdf::fromQuantileFunction(
-        [&s](double q) { return s.quantile(q); }, points);
+        [&s](double q) { return s.quantile(q); }, snapshot_points);
 }
 
 } // namespace
 
-StreamPipeline::StreamPipeline(StreamOptions options)
-    : options_(std::move(options)),
-      service_time_(options_.kll_k, options_.sketch_seed,
-                    options_.min_gpu_runtime),
-      utilization_(options_.kll_k, options_.sketch_seed,
-                   options_.min_gpu_runtime),
-      power_(options_.kll_k, options_.sketch_seed,
-             options_.min_gpu_runtime, options_.power_caps),
-      user_behavior_(options_.heavy_hitter_capacity,
-                     options_.min_gpu_runtime),
-      exemplars_(options_.reservoir_capacity, options_.sketch_seed)
+StreamPipeline::StreamPipeline()
+    : exemplars_(reservoir_capacity, sketch_seed)
 {
-    AIWC_CHECK(options_.snapshot_points >= 2,
-               "snapshot needs at least two quantile levels");
 }
 
 // The delegating copy constructor pins @p other with a temporary
@@ -92,7 +82,7 @@ StreamPipeline::StreamPipeline(const StreamPipeline &other)
 
 StreamPipeline::StreamPipeline(const StreamPipeline &other,
                                const MutexLock &)
-    : options_(other.options_), rows_(other.rows_),
+    : rows_(other.rows_),
       gpu_jobs_(other.gpu_jobs_), cpu_jobs_(other.cpu_jobs_),
       service_time_(other.service_time_),
       utilization_(other.utilization_), power_(other.power_),
@@ -106,7 +96,6 @@ StreamPipeline::operator=(const StreamPipeline &other)
     if (this == &other)
         return *this;
     MutexLock2 lock(mutex_, other.mutex_);
-    options_ = other.options_;
     rows_ = other.rows_;
     gpu_jobs_ = other.gpu_jobs_;
     cpu_jobs_ = other.cpu_jobs_;
@@ -125,7 +114,7 @@ StreamPipeline::ingest(const core::JobRecord &rec)
     ++rows_;
     rowsCounter().add(1);
     if (rec.isGpuJob()) {
-        if (rec.runTime() >= options_.min_gpu_runtime) {
+        if (rec.runTime() >= core::min_gpu_runtime) {
             ++gpu_jobs_;
             exemplars_.add(rec.id, rec.runTime() / 60.0);
         }
@@ -143,8 +132,6 @@ StreamPipeline::merge(const StreamPipeline &other)
 {
     AIWC_CHECK(this != &other, "pipeline cannot merge with itself");
     MutexLock2 lock(mutex_, other.mutex_);
-    AIWC_CHECK(options_ == other.options_,
-               "pipeline merge requires identical stream options");
     mergesCounter().add(1);
     rows_ += other.rows_;
     gpu_jobs_ += other.gpu_jobs_;
@@ -171,20 +158,16 @@ StreamPipeline::snapshot() const
     report.cpu_jobs = cpu_jobs_;
     report.sketch_bytes = sketchBytesLocked();
 
-    const int points = options_.snapshot_points;
-    report.gpu_runtime_min =
-        renderCdf(service_time_.gpuRuntimeMin(), points);
-    report.cpu_runtime_min =
-        renderCdf(service_time_.cpuRuntimeMin(), points);
-    report.gpu_wait_s = renderCdf(service_time_.gpuWaitS(), points);
-    report.sm_pct =
-        renderCdf(utilization_.byResource(Resource::Sm), points);
+    report.gpu_runtime_min = renderCdf(service_time_.gpuRuntimeMin());
+    report.cpu_runtime_min = renderCdf(service_time_.cpuRuntimeMin());
+    report.gpu_wait_s = renderCdf(service_time_.gpuWaitS());
+    report.sm_pct = renderCdf(utilization_.byResource(Resource::Sm));
     report.membw_pct =
-        renderCdf(utilization_.byResource(Resource::MemoryBw), points);
+        renderCdf(utilization_.byResource(Resource::MemoryBw));
     report.memsize_pct =
-        renderCdf(utilization_.byResource(Resource::MemorySize), points);
-    report.avg_watts = renderCdf(power_.avgWatts(), points);
-    report.max_watts = renderCdf(power_.maxWatts(), points);
+        renderCdf(utilization_.byResource(Resource::MemorySize));
+    report.avg_watts = renderCdf(power_.avgWatts());
+    report.max_watts = renderCdf(power_.maxWatts());
     report.caps = power_.capImpacts();
 
     report.epsilon = std::max(
@@ -214,7 +197,7 @@ StreamPipeline::snapshot() const
             user_behavior_.medianJobsPerUser();
     }
     report.top_users_by_gpu_hours = user_behavior_.topUsersByGpuHours(
-        std::min<std::size_t>(5, options_.heavy_hitter_capacity));
+        std::min<std::size_t>(5, heavy_hitter_capacity));
     return report;
 }
 
@@ -240,33 +223,17 @@ StreamPipeline::sketchBytesLocked() const
 }
 
 StreamPipeline
-ingestParallel(std::span<const core::JobRecord> records,
-               const StreamOptions &options)
+ingestParallel(std::span<const core::JobRecord> records)
 {
     obs::TraceSpan span("stream.ingest_parallel");
     return parallelReduce(
-        globalPool(), records.size(), StreamPipeline(options),
+        globalPool(), records.size(), StreamPipeline(),
         [&](StreamPipeline &acc, std::size_t i) {
             acc.ingest(records[i]);
         },
         [](StreamPipeline &into, StreamPipeline &&from) {
             into.merge(from);
         });
-}
-
-SnapshotReport
-snapshotShards(std::span<const StreamPipeline> shards)
-{
-    AIWC_CHECK(!shards.empty(),
-               "shard-merge snapshot needs at least one shard");
-    obs::TraceSpan span("stream.snapshot_shards");
-    // Fold in shard-index order: the same merge order parallelReduce
-    // uses, so the combined state — and every rendered figure — is a
-    // pure function of the per-shard states.
-    StreamPipeline combined(shards.front().options());
-    for (const StreamPipeline &shard : shards)
-        combined.merge(shard);
-    return combined.snapshot();
 }
 
 } // namespace aiwc::stream

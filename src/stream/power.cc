@@ -1,24 +1,14 @@
 #include "aiwc/stream/power.hh"
 
-#include "aiwc/base/check.hh"
+#include "aiwc/core/dataset.hh"
 
 namespace aiwc::stream
 {
 
-StreamingPower::StreamingPower(std::uint32_t kll_k, std::uint64_t seed,
-                               Seconds min_gpu_runtime,
-                               std::vector<double> caps)
-    : min_gpu_runtime_(min_gpu_runtime),
-      caps_(std::move(caps)),
-      avg_watts_(kll_k, seed),
-      max_watts_(kll_k, seed)
-{
-}
-
 void
 StreamingPower::observe(const core::JobRecord &rec)
 {
-    if (!rec.isGpuJob() || rec.runTime() < min_gpu_runtime_)
+    if (!rec.isGpuJob() || rec.runTime() < core::min_gpu_runtime)
         return;
     avg_watts_.add(rec.meanPowerWatts());
     max_watts_.add(rec.maxPowerWatts());
@@ -27,8 +17,6 @@ StreamingPower::observe(const core::JobRecord &rec)
 void
 StreamingPower::merge(const StreamingPower &other)
 {
-    AIWC_CHECK(caps_ == other.caps_,
-               "power merge requires identical cap lists");
     avg_watts_.merge(other.avg_watts_);
     max_watts_.merge(other.max_watts_);
 }
@@ -39,8 +27,8 @@ StreamingPower::capImpacts() const
     std::vector<core::PowerCapImpact> out;
     if (avg_watts_.count() == 0)
         return out;
-    out.reserve(caps_.size());
-    for (double cap : caps_) {
+    out.reserve(power_caps.size());
+    for (double cap : power_caps) {
         core::PowerCapImpact impact;
         impact.cap_watts = cap;
         impact.unimpacted = max_watts_.cdf(cap);

@@ -1,20 +1,9 @@
 #include "aiwc/stream/service_time.hh"
 
+#include "aiwc/core/dataset.hh"
+
 namespace aiwc::stream
 {
-
-StreamingServiceTime::StreamingServiceTime(std::uint32_t kll_k,
-                                           std::uint64_t seed,
-                                           Seconds min_gpu_runtime)
-    : min_gpu_runtime_(min_gpu_runtime),
-      gpu_runtime_min_(kll_k, seed),
-      cpu_runtime_min_(kll_k, seed),
-      gpu_wait_s_(kll_k, seed),
-      cpu_wait_s_(kll_k, seed),
-      gpu_wait_pct_(kll_k, seed),
-      cpu_wait_pct_(kll_k, seed)
-{
-}
 
 void
 StreamingServiceTime::observe(const core::JobRecord &rec)
@@ -26,7 +15,7 @@ StreamingServiceTime::observe(const core::JobRecord &rec)
     const double wait_pct =
         service > 0.0 ? 100.0 * wait_s / service : 0.0;
     if (rec.isGpuJob()) {
-        if (rec.runTime() < min_gpu_runtime_)
+        if (rec.runTime() < core::min_gpu_runtime)
             return;
         gpu_runtime_min_.add(runtime_min);
         gpu_wait_s_.add(wait_s);

@@ -1,11 +1,19 @@
 #include "aiwc/stream/user_behavior.hh"
 
-#include "aiwc/base/check.hh"
+#include "aiwc/core/dataset.hh"
 #include "aiwc/stats/descriptive.hh"
 #include "aiwc/stats/share_curve.hh"
 
 namespace aiwc::stream
 {
+
+namespace
+{
+
+/** Users with fewer jobs report no CoVs (the batch analyzer's default). */
+constexpr std::size_t min_jobs_for_cov = 2;
+
+} // namespace
 
 void
 StreamingUserBehavior::UserAccum::merge(const UserAccum &other)
@@ -17,19 +25,10 @@ StreamingUserBehavior::UserAccum::merge(const UserAccum &other)
     gpu_hours += other.gpu_hours;
 }
 
-StreamingUserBehavior::StreamingUserBehavior(
-    std::size_t heavy_hitter_capacity, Seconds min_gpu_runtime,
-    std::size_t min_jobs_for_cov)
-    : min_gpu_runtime_(min_gpu_runtime),
-      min_jobs_for_cov_(min_jobs_for_cov),
-      hours_topk_(heavy_hitter_capacity)
-{
-}
-
 void
 StreamingUserBehavior::observe(const core::JobRecord &rec)
 {
-    if (!rec.isGpuJob() || rec.runTime() < min_gpu_runtime_)
+    if (!rec.isGpuJob() || rec.runTime() < core::min_gpu_runtime)
         return;
     UserAccum &acc = users_[rec.user];
     acc.runtime_min.add(rec.runTime() / 60.0);
@@ -44,8 +43,6 @@ StreamingUserBehavior::observe(const core::JobRecord &rec)
 void
 StreamingUserBehavior::merge(const StreamingUserBehavior &other)
 {
-    AIWC_CHECK_EQ(min_jobs_for_cov_, other.min_jobs_for_cov_,
-                  "user-behavior merge requires identical CoV cutoff");
     for (const auto &[user, acc] : other.users_) {
         auto [it, inserted] = users_.emplace(user, acc);
         if (!inserted)
@@ -68,7 +65,7 @@ StreamingUserBehavior::summaries() const
         s.avg_sm_pct = acc.sm_pct.mean();
         s.avg_membw_pct = acc.membw_pct.mean();
         s.avg_memsize_pct = acc.memsize_pct.mean();
-        if (s.jobs >= min_jobs_for_cov_) {
+        if (s.jobs >= min_jobs_for_cov) {
             s.runtime_cov_pct = acc.runtime_min.covPercent();
             s.sm_cov_pct = acc.sm_pct.covPercent();
             s.membw_cov_pct = acc.membw_pct.covPercent();

@@ -1,6 +1,7 @@
 #include "aiwc/stream/utilization.hh"
 
 #include "aiwc/base/logging.hh"
+#include "aiwc/core/dataset.hh"
 
 namespace aiwc::stream
 {
@@ -29,20 +30,10 @@ constexpr std::array<Resource, 5> axes = {
 
 } // namespace
 
-StreamingUtilization::StreamingUtilization(std::uint32_t kll_k,
-                                           std::uint64_t seed,
-                                           Seconds min_gpu_runtime)
-    : min_gpu_runtime_(min_gpu_runtime),
-      pct_{sketch::KllSketch(kll_k, seed), sketch::KllSketch(kll_k, seed),
-           sketch::KllSketch(kll_k, seed), sketch::KllSketch(kll_k, seed),
-           sketch::KllSketch(kll_k, seed)}
-{
-}
-
 void
 StreamingUtilization::observe(const core::JobRecord &rec)
 {
-    if (!rec.isGpuJob() || rec.runTime() < min_gpu_runtime_)
+    if (!rec.isGpuJob() || rec.runTime() < core::min_gpu_runtime)
         return;
     for (Resource r : axes)
         pct_[axisOf(r)].add(100.0 * rec.meanUtilization(r));

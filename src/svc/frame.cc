@@ -244,14 +244,6 @@ toString(DecodeStatus status)
     return "unknown";
 }
 
-std::uint32_t
-crc32(std::span<const std::uint8_t> bytes)
-{
-    // The wire format's checksum is the shared CRC-32 implementation;
-    // this alias keeps the svc public API stable.
-    return aiwc::crc32(bytes);
-}
-
 std::vector<std::uint8_t>
 encodeJobBatch(std::uint64_t tenant,
                std::span<const core::JobRecord> records)

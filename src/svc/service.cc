@@ -82,17 +82,8 @@ toString(Admission a)
     return "unknown";
 }
 
-Service::Tenant::Tenant(const ServiceOptions &options)
-{
-    shards.reserve(options.shards_per_tenant);
-    for (std::size_t i = 0; i < options.shards_per_tenant; ++i)
-        shards.emplace_back(options.stream);
-}
-
 Service::Service(ServiceOptions options) : options_(std::move(options))
 {
-    AIWC_CHECK(options_.shards_per_tenant >= 1,
-               "service needs at least one shard per tenant");
     AIWC_CHECK(options_.queue_budget_records >= 1,
                "queue budget must admit at least one record");
 }
@@ -159,18 +150,14 @@ Service::drain()
             MutexLock lock(tenant.mutex);
             if (tenant.queue.empty())
                 break;
-            const std::size_t shard_count = tenant.shards.size();
             std::vector<core::JobRecord> batch =
                 std::move(tenant.queue.front());
             tenant.queue.pop_front();
             tenant.queued_records -= batch.size();
             queuedRecordsGauge().add(
                 -static_cast<std::int64_t>(batch.size()));
-            // user-keyed routing: deterministic under any drain
-            // interleaving, and each user's table entry lives in
-            // exactly one shard (see the service.hh threading note).
             for (const core::JobRecord &rec : batch)
-                tenant.shards[rec.user % shard_count].ingest(rec);
+                tenant.pipeline.ingest(rec);
             tenant.ingested += batch.size();
             total.fetch_add(batch.size(), std::memory_order_relaxed);
         }
@@ -189,7 +176,7 @@ Service::snapshot(std::uint64_t tenant_id) const
                tenant_id, "; probe with hasTenant() first");
     MutexLock lock(tenant->mutex);
     snapshotsCounter().add(1);
-    return stream::snapshotShards(tenant->shards);
+    return tenant->pipeline.snapshot();
 }
 
 bool
@@ -242,8 +229,7 @@ Service::sketchBytes() const
     std::size_t bytes = 0;
     for (const Tenant *tenant : tenants) {
         MutexLock lock(tenant->mutex);
-        for (const stream::StreamPipeline &shard : tenant->shards)
-            bytes += shard.sketchBytes();
+        bytes += tenant->pipeline.sketchBytes();
     }
     return bytes;
 }
@@ -255,7 +241,7 @@ Service::tenantFor(std::uint64_t id)
     auto it = tenants_.find(id);
     if (it == tenants_.end()) {
         it = tenants_
-                 .emplace(id, std::make_unique<Tenant>(options_))
+                 .emplace(id, std::make_unique<Tenant>())
                  .first;
         tenantsGauge().set(static_cast<std::int64_t>(tenants_.size()));
     }

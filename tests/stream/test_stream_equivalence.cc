@@ -204,7 +204,7 @@ TEST(StreamEquivalence, SnapshotCdfWithinKsBoundOfExactCurve)
     ASSERT_FALSE(snap.gpu_runtime_min.empty());
     const double bound =
         snap.epsilon +
-        1.0 / (p.options().snapshot_points - 1.0) +
+        1.0 / (snapshot_points - 1.0) +
         1.0 / static_cast<double>(batch.gpu_runtime_min.size()) + 0.01;
     EXPECT_LE(snap.gpu_runtime_min.ksDistance(batch.gpu_runtime_min),
               bound);

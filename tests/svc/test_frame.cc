@@ -9,6 +9,7 @@
 
 #include "../core/record_builder.hh"
 
+#include "aiwc/common/binary.hh"
 #include "aiwc/svc/frame.hh"
 
 namespace aiwc::svc

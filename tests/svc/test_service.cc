@@ -36,6 +36,91 @@ tenantBatch(std::uint64_t tenant, int count, int first_id = 0)
     return records;
 }
 
+/**
+ * 200 mixed records: GPU jobs (some under the 30 s cut, some on two
+ * GPUs) and CPU jobs from users 0..40, so every residue of user mod 4
+ * occurs.
+ */
+std::vector<core::JobRecord>
+mixedBatch(int batch)
+{
+    constexpr int count = 200;
+    std::vector<core::JobRecord> records;
+    records.reserve(count);
+    for (int i = 0; i < count; ++i) {
+        const int id = batch * count + i;
+        const auto user = static_cast<UserId>((id * 17) % 41);
+        if (id % 9 == 0) {
+            records.push_back(cpuRecord(static_cast<JobId>(id), user,
+                                        60.0 + id % 50, 5.0 * (id % 13)));
+        } else {
+            records.push_back(gpuRecord(
+                static_cast<JobId>(id), user, 20.0 + 7.0 * (id % 211),
+                1 + id % 2, 0.05 + 0.009 * (id % 89), 0.95));
+        }
+    }
+    return records;
+}
+
+/** Sample-by-sample equality of two rendered CDFs. */
+void
+expectSameCdf(const char *name, const stats::EmpiricalCdf &a,
+              const stats::EmpiricalCdf &b)
+{
+    const auto samples = [](const stats::EmpiricalCdf &cdf) {
+        return std::vector<double>(cdf.sorted().begin(),
+                                   cdf.sorted().end());
+    };
+    EXPECT_EQ(samples(a), samples(b)) << name;
+}
+
+/** Field-by-field equality of two snapshots. */
+void
+expectSameSnapshot(const stream::SnapshotReport &a,
+                   const stream::SnapshotReport &b)
+{
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.gpu_jobs, b.gpu_jobs);
+    EXPECT_EQ(a.cpu_jobs, b.cpu_jobs);
+    EXPECT_EQ(a.sketch_bytes, b.sketch_bytes);
+    EXPECT_EQ(a.epsilon, b.epsilon);
+    expectSameCdf("gpu_runtime_min", a.gpu_runtime_min,
+                  b.gpu_runtime_min);
+    expectSameCdf("cpu_runtime_min", a.cpu_runtime_min,
+                  b.cpu_runtime_min);
+    expectSameCdf("gpu_wait_s", a.gpu_wait_s, b.gpu_wait_s);
+    expectSameCdf("sm_pct", a.sm_pct, b.sm_pct);
+    expectSameCdf("membw_pct", a.membw_pct, b.membw_pct);
+    expectSameCdf("memsize_pct", a.memsize_pct, b.memsize_pct);
+    expectSameCdf("avg_watts", a.avg_watts, b.avg_watts);
+    expectSameCdf("max_watts", a.max_watts, b.max_watts);
+    ASSERT_EQ(a.caps.size(), b.caps.size());
+    for (std::size_t i = 0; i < a.caps.size(); ++i) {
+        EXPECT_EQ(a.caps[i].cap_watts, b.caps[i].cap_watts);
+        EXPECT_EQ(a.caps[i].unimpacted, b.caps[i].unimpacted);
+        EXPECT_EQ(a.caps[i].impacted_by_max, b.caps[i].impacted_by_max);
+        EXPECT_EQ(a.caps[i].impacted_by_avg, b.caps[i].impacted_by_avg);
+    }
+    EXPECT_EQ(a.users, b.users);
+    expectSameCdf("user_avg_runtime_min", a.user_avg_runtime_min,
+                  b.user_avg_runtime_min);
+    expectSameCdf("user_avg_sm_pct", a.user_avg_sm_pct,
+                  b.user_avg_sm_pct);
+    EXPECT_EQ(a.top5_job_share, b.top5_job_share);
+    EXPECT_EQ(a.top20_job_share, b.top20_job_share);
+    EXPECT_EQ(a.median_jobs_per_user, b.median_jobs_per_user);
+    ASSERT_EQ(a.top_users_by_gpu_hours.size(),
+              b.top_users_by_gpu_hours.size());
+    for (std::size_t i = 0; i < a.top_users_by_gpu_hours.size(); ++i) {
+        EXPECT_EQ(a.top_users_by_gpu_hours[i].key,
+                  b.top_users_by_gpu_hours[i].key);
+        EXPECT_EQ(a.top_users_by_gpu_hours[i].count,
+                  b.top_users_by_gpu_hours[i].count);
+        EXPECT_EQ(a.top_users_by_gpu_hours[i].error,
+                  b.top_users_by_gpu_hours[i].error);
+    }
+}
+
 TEST(Service, TenantsAreCreatedOnFirstContact)
 {
     Service svc;
@@ -130,15 +215,32 @@ TEST(Service, SnapshotOfUnknownTenantTripsTheContract)
     EXPECT_THROW(svc.snapshot(99), ContractViolation);
 }
 
-TEST(Service, ShardCountIsConfigurableAndCheckpointed)
+TEST(Service, QueueBudgetMustAdmitARecord)
 {
     ScopedCheckFailHandler guard;
-    ServiceOptions zero_shards;
-    zero_shards.shards_per_tenant = 0;
-    EXPECT_THROW(Service{zero_shards}, ContractViolation);
     ServiceOptions zero_budget;
     zero_budget.queue_budget_records = 0;
     EXPECT_THROW(Service{zero_budget}, ContractViolation);
+}
+
+TEST(Service, SnapshotMatchesOnePipelineFedInDrainOrder)
+{
+    // The service is one pipeline per tenant: its snapshot equals, field
+    // by field, that of a single pipeline fed the same records in the
+    // order drain() applies them (queue order), sketch_bytes included.
+    Service svc;
+    stream::StreamPipeline expected;
+    for (int b = 0; b < 12; ++b) {
+        std::vector<core::JobRecord> batch = mixedBatch(b);
+        for (const core::JobRecord &rec : batch)
+            expected.ingest(rec);
+        ASSERT_EQ(svc.enqueueBatch(5, std::move(batch)),
+                  Admission::Accepted);
+    }
+    EXPECT_EQ(svc.drain(), 2400u);
+    const stream::SnapshotReport snap = svc.snapshot(5);
+    EXPECT_GT(snap.epsilon, 0.0) << "the KLL sketches never compacted";
+    expectSameSnapshot(snap, expected.snapshot());
 }
 
 TEST(Service, SnapshotsAreByteIdenticalAcrossDrainThreadCounts)
