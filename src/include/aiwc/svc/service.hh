@@ -141,8 +141,6 @@ class Service
     /** Sketch footprint summed over every tenant's pipeline, bytes. */
     std::size_t sketchBytes() const;
 
-    const ServiceOptions &options() const { return options_; }
-
   private:
     struct Tenant
     {
