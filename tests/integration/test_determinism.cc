@@ -18,6 +18,7 @@
 #include <sstream>
 #include <vector>
 
+#include "aiwc/base/logging.hh"
 #include "aiwc/common/parallel.hh"
 #include "aiwc/obs/metrics.hh"
 #include "aiwc/obs/trace.hh"
@@ -511,6 +512,73 @@ TEST(Determinism, BinaryTraceMatchesCsvAcrossThreadCounts)
     EXPECT_EQ(csv_serial, bin_serial);
     EXPECT_EQ(csv_threaded, bin_threaded);
     EXPECT_EQ(csv_serial, csv_threaded);
+}
+
+/**
+ * The seed-1234 export tiled to a few MiB, so it spans several of the
+ * loader's read windows, with the line shapes a real export can carry
+ * spliced in: CRLF endings, a quoted cell, blank lines, malformed
+ * rows, and a last row with no trailing newline.
+ */
+std::string
+messyCsvExport(const core::Dataset &dataset)
+{
+    std::ostringstream os;
+    dataset.writeCsv(os);
+    const std::string text = os.str();
+    std::istringstream is(text);
+    std::string header;
+    std::getline(is, header);
+    std::vector<std::string> rows;
+    for (std::string line; std::getline(is, line);)
+        rows.push_back(line);
+
+    std::string out = header + '\n';
+    constexpr std::size_t tiles = 12;
+    for (std::size_t i = 0; i < tiles * rows.size(); ++i) {
+        std::string row = rows[i % rows.size()];
+        if (i % 1499 == 3)
+            out += '\n';
+        if (i % 1999 == 11)
+            out += "not,a,valid,row\n";
+        if (i % 2503 == 5)
+            out += "9,9,batch,completed,0,0,nan,1,2,4,0,0,0,0,0,0,0,0,0,0\n";
+        if (i % 2999 == 7) {
+            // Quote the interface cell; it must load as if unquoted.
+            const std::size_t a = row.find(',', row.find(',') + 1) + 1;
+            const std::size_t b = row.find(',', a);
+            row = row.substr(0, a) + '"' + row.substr(a, b - a) + '"' +
+                  row.substr(b);
+        }
+        out += row;
+        out += i % 997 == 17 ? "\r\n" : "\n";
+    }
+    out.pop_back();  // the last row ends without a newline
+    return out;
+}
+
+TEST(Determinism, CsvLoadMatchesPinnedDigest)
+{
+    // Pins what loadDatasetCsv keeps from a multi-window export with
+    // every line shape it must tolerate, across commits and thread
+    // counts: a change to how the loader reads, splits or parses its
+    // input must keep every loaded bit and every dropped row.
+    const std::string text = messyCsvExport(synthesize(1234).dataset);
+    ASSERT_GT(text.size(), std::size_t{3} << 20);
+
+    const int before = globalThreadCount();
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Silent);
+    for (const int threads : {1, 8}) {
+        SCOPED_TRACE(threads);
+        setGlobalThreadCount(threads);
+        std::istringstream is(text);
+        const core::Dataset loaded = core::loadDatasetCsv(is);
+        EXPECT_EQ(loaded.size(), 32280u);
+        EXPECT_EQ(fmt::contentDigest(loaded), 0x8153b23d358b1707ull);
+    }
+    setLogLevel(level);
+    setGlobalThreadCount(before);
 }
 
 /** A small sweep over the default mixes with every built-in policy. */
