@@ -1,19 +1,26 @@
 #include "aiwc/core/csv_loader.hh"
 
+#include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "aiwc/common/csv.hh"
 #include "aiwc/base/logging.hh"
+#include "aiwc/common/csv.hh"
+#include "aiwc/common/parallel.hh"
 
 namespace aiwc::core
 {
 
 std::optional<Interface>
-interfaceFromString(const std::string &name)
+interfaceFromString(std::string_view name)
 {
     for (int i = 0; i < num_interfaces; ++i) {
         const auto iface = static_cast<Interface>(i);
@@ -24,7 +31,7 @@ interfaceFromString(const std::string &name)
 }
 
 std::optional<TerminalState>
-terminalFromString(const std::string &name)
+terminalFromString(std::string_view name)
 {
     for (int i = 0; i <= static_cast<int>(TerminalState::NodeFailure);
          ++i) {
@@ -79,35 +86,75 @@ metric(double mean, double max)
 constexpr double max_gpus_per_row = 1024.0;
 
 /**
+ * A window is cut into parse pieces at multiples of this many bytes,
+ * each moved forward past the next newline: 16 pieces per full window.
+ */
+constexpr std::size_t piece_bytes = std::size_t{64} << 10;
+
+using Cells = std::array<std::string_view, kColumns>;
+
+/**
+ * `fallback` (std::strtod or std::strtoul) of a NUL-terminated copy of
+ * the cell. from_chars rounds as strtod does, so its value is taken
+ * whenever it consumes the whole cell without a range error; every
+ * other cell (empty, a sign or space in front, hex, trailing text,
+ * overflow) goes to the fallback.
+ */
+template <typename T, typename Fallback>
+T
+parseCell(std::string_view cell, Fallback fallback)
+{
+    T v{};
+    const char *last = cell.data() + cell.size();
+    const auto [ptr, ec] = std::from_chars(cell.data(), last, v);
+    if (ec == std::errc{} && ptr == last)
+        return v;
+    return fallback(std::string(cell).c_str());
+}
+
+double
+parseDouble(std::string_view cell)
+{
+    return parseCell<double>(
+        cell, [](const char *s) { return std::strtod(s, nullptr); });
+}
+
+unsigned long
+parseId(std::string_view cell)
+{
+    return parseCell<unsigned long>(
+        cell, [](const char *s) { return std::strtoul(s, nullptr, 10); });
+}
+
+/**
  * Decode one data row into `r`. Returns an empty string on success,
  * else why the row cannot be a job record.
  */
 std::string
-decodeRow(const std::vector<std::string> &cells, JobRecord &r)
+decodeRow(const Cells &cells, JobRecord &r)
 {
     // Every cell from kSubmit on is a number; parse each once.
     std::array<double, kColumns> v{};
     for (std::size_t c = kSubmit; c < kColumns; ++c) {
-        v[c] = std::strtod(cells[c].c_str(), nullptr);
+        v[c] = parseDouble(cells[c]);
         if (!std::isfinite(v[c]))
             return "non-finite value in column " + std::to_string(c + 1);
     }
     const auto iface = interfaceFromString(cells[kInterface]);
     if (!iface)
-        return "unknown interface '" + cells[kInterface] + "'";
+        return "unknown interface '" + std::string(cells[kInterface]) + "'";
     const auto terminal = terminalFromString(cells[kTerminal]);
     if (!terminal)
-        return "unknown terminal state '" + cells[kTerminal] + "'";
+        return "unknown terminal state '" + std::string(cells[kTerminal]) +
+               "'";
     if (v[kGpus] < 0.0 || v[kGpus] > max_gpus_per_row)
-        return "gpus out of range: " + cells[kGpus];
+        return "gpus out of range: " + std::string(cells[kGpus]);
     if (v[kCpuSlots] < 0.0 ||
         v[kCpuSlots] > std::numeric_limits<int>::max())
-        return "cpu_slots out of range: " + cells[kCpuSlots];
+        return "cpu_slots out of range: " + std::string(cells[kCpuSlots]);
 
-    r.id = static_cast<JobId>(
-        std::strtoul(cells[kJobId].c_str(), nullptr, 10));
-    r.user = static_cast<UserId>(
-        std::strtoul(cells[kUser].c_str(), nullptr, 10));
+    r.id = static_cast<JobId>(parseId(cells[kJobId]));
+    r.user = static_cast<UserId>(parseId(cells[kUser]));
     r.interface = *iface;
     r.terminal = *terminal;
     r.submit_time = v[kSubmit];
@@ -133,46 +180,186 @@ decodeRow(const std::vector<std::string> &cells, JobRecord &r)
     return {};
 }
 
-} // namespace
-
-Dataset
-loadDatasetCsv(std::istream &is)
+/**
+ * Split an unquoted line into cells in place, as parseCsvLine() would:
+ * one trailing '\r' is a line terminator, every ',' ends a cell.
+ * Fills at most kColumns cells and returns how many the line has.
+ */
+std::size_t
+splitCells(std::string_view line, Cells &cells)
 {
-    std::string line;
-    if (!std::getline(is, line))
-        fatal("empty CSV: no header");
-    auto header = parseCsvLine(line);
+    if (!line.empty() && line.back() == '\r')
+        line.remove_suffix(1);
+    std::size_t count = 0;
+    for (std::size_t begin = 0;; ++count) {
+        const std::size_t comma = line.find(',', begin);
+        if (count < kColumns)
+            cells[count] = line.substr(begin, comma - begin);
+        if (comma == std::string_view::npos)
+            return count + 1;
+        begin = comma + 1;
+    }
+}
+
+/**
+ * Decode one non-blank line into `r`. Returns an empty string on
+ * success, else why the line is skipped.
+ */
+std::string
+decodeLine(std::string_view line, JobRecord &r)
+{
+    Cells cells;
+    std::size_t count = 0;
+    std::vector<std::string> quoted;
+    if (line.find('"') == std::string_view::npos) {
+        count = splitCells(line, cells);
+    } else {
+        quoted = parseCsvLine(std::string(line));
+        count = quoted.size();
+        if (count == kColumns)
+            std::copy(quoted.begin(), quoted.end(), cells.begin());
+    }
+    if (count != kColumns)
+        return "expected " + std::to_string(kColumns) + " cells, got " +
+               std::to_string(count);
+    return decodeRow(cells, r);
+}
+
+/** Whole lines of one window, parsed on their own. */
+struct Piece
+{
+    std::string_view text;
+    std::vector<JobRecord> records;
+    /** (line index within the piece, why it was skipped). */
+    std::vector<std::pair<std::size_t, std::string>> skipped;
+    std::size_t lines = 0;
+};
+
+void
+parsePiece(Piece &piece)
+{
+    const std::string_view text = piece.text;
+    for (std::size_t begin = 0; begin < text.size(); ++piece.lines) {
+        std::size_t end = text.find('\n', begin);
+        if (end == std::string_view::npos)
+            end = text.size();
+        const std::string_view line = text.substr(begin, end - begin);
+        begin = end + 1;
+        // A blank line is blank whether the file is LF or CRLF.
+        if (line.empty() || line == "\r")
+            continue;
+        JobRecord r;
+        if (std::string why = decodeLine(line, r); !why.empty())
+            piece.skipped.emplace_back(piece.lines, std::move(why));
+        else
+            piece.records.push_back(std::move(r));
+    }
+}
+
+/**
+ * Parse the whole lines in `text`, the first numbered `line_no`, onto
+ * `records`; warn about each skipped line in line order. Returns the
+ * number of the line after the last.
+ */
+std::size_t
+parseLines(std::string_view text, std::size_t line_no,
+           std::vector<JobRecord> &records)
+{
+    std::vector<Piece> pieces;
+    for (std::size_t begin = 0, cut = piece_bytes; begin < text.size();
+         cut += piece_bytes) {
+        if (cut <= begin)
+            continue;  // a line longer than a piece spans this cut
+        const std::size_t nl = cut < text.size()
+                                   ? text.find('\n', cut - 1)
+                                   : std::string_view::npos;
+        const std::size_t end = nl == std::string_view::npos ? text.size()
+                                                             : nl + 1;
+        pieces.emplace_back().text = text.substr(begin, end - begin);
+        begin = end;
+    }
+    parallelFor(globalPool(), pieces.size(),
+                [&pieces](std::size_t i) { parsePiece(pieces[i]); });
+    for (Piece &piece : pieces) {
+        for (const auto &[line, why] : piece.skipped)
+            warn("skipping CSV line ", line_no + line, ": ", why);
+        line_no += piece.lines;
+        records.insert(records.end(),
+                       std::make_move_iterator(piece.records.begin()),
+                       std::make_move_iterator(piece.records.end()));
+    }
+    return line_no;
+}
+
+/** Why `line` is not the writeCsv header; empty when it is. */
+std::string
+checkHeader(std::string_view line)
+{
+    auto header = parseCsvLine(std::string(line));
     // Tolerate a UTF-8 byte-order mark in front of the header — some
     // spreadsheet exports prepend one.
     if (!header.empty() && header[0].rfind("\xef\xbb\xbf", 0) == 0)
         header[0].erase(0, 3);
     if (header.size() != kColumns || header[0] != "job_id")
-        fatal("unrecognized dataset CSV header (", header.size(),
-              " columns)");
+        return "unrecognized dataset CSV header (" +
+               std::to_string(header.size()) + " columns)";
+    return {};
+}
 
-    Dataset dataset;
-    std::size_t line_no = 1;
-    while (std::getline(is, line)) {
-        ++line_no;
-        // A blank line is blank whether the file is LF or CRLF.
-        if (line.empty() || line == "\r")
-            continue;
-        const auto cells = parseCsvLine(line);
-        if (cells.size() != kColumns) {
-            warn("skipping CSV line ", line_no, ": expected ",
-                 static_cast<std::size_t>(kColumns), " cells, got ",
-                 cells.size());
-            continue;
-        }
+} // namespace
 
-        JobRecord r;
-        if (const std::string why = decodeRow(cells, r); !why.empty()) {
-            warn("skipping CSV line ", line_no, ": ", why);
-            continue;
+Dataset
+loadDatasetCsv(std::istream &is, std::string *error)
+{
+    if (error)
+        error->clear();
+    std::size_t size = csv_read_window;
+    auto window = std::make_unique_for_overwrite<char[]>(size);
+    std::size_t have = 0;     // bytes in window, the carried tail first
+    std::size_t line_no = 0;  // number of the next line; 0 before the header
+    std::vector<JobRecord> records;
+    for (bool eof = false; !eof;) {
+        if (have == size) {
+            // One line fills the window: double it and read on.
+            auto wider = std::make_unique_for_overwrite<char[]>(2 * size);
+            std::copy_n(window.get(), have, wider.get());
+            window = std::move(wider);
+            size *= 2;
         }
-        dataset.add(std::move(r));
+        is.read(window.get() + have,
+                static_cast<std::streamsize>(size - have));
+        have += static_cast<std::size_t>(is.gcount());
+        eof = !is;
+        std::string_view text(window.get(), have);
+        if (!eof) {
+            const std::size_t last = text.rfind('\n');
+            if (last == std::string_view::npos)
+                continue;
+            text = text.substr(0, last + 1);
+        }
+        const std::size_t consumed = text.size();
+        if (line_no == 0) {
+            std::string why = "empty CSV: no header";
+            std::size_t end = text.size();
+            if (!text.empty()) {
+                end = std::min(text.find('\n'), text.size());
+                why = checkHeader(text.substr(0, end));
+            }
+            if (!why.empty()) {
+                warn(why);
+                if (error)
+                    *error = std::move(why);
+                return Dataset();
+            }
+            text.remove_prefix(std::min(end + 1, text.size()));
+            line_no = 2;
+        }
+        line_no = parseLines(text, line_no, records);
+        std::copy(window.get() + consumed, window.get() + have,
+                  window.get());
+        have -= consumed;
     }
-    return dataset;
+    return Dataset(std::move(records));
 }
 
 } // namespace aiwc::core

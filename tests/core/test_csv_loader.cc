@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "record_builder.hh"
 
+#include "aiwc/base/logging.hh"
 #include "aiwc/common/csv.hh"
+#include "aiwc/common/parallel.hh"
+#include "aiwc/common/rng.hh"
 #include "aiwc/core/csv_loader.hh"
+#include "aiwc/fmt/trace.hh"
 
 namespace aiwc::core
 {
@@ -223,6 +232,255 @@ TEST(CsvLoader, AnalyzersAgreeAfterRoundTrip)
     EXPECT_NEAR(loaded.totalGpuHours(), original.totalGpuHours(), 1e-3);
     EXPECT_EQ(loaded.gpuJobIndices(), original.gpuJobIndices());
     EXPECT_EQ(loaded.uniqueUsers(), original.uniqueUsers());
+}
+
+
+/** The header line writeCsv emits. */
+std::string
+csvHeader()
+{
+    std::stringstream buffer;
+    Dataset().writeCsv(buffer);
+    return buffer.str();
+}
+
+/** A valid GPU-job data row whose cell `column` (0-based) is `cell`. */
+std::string
+rowWith(std::size_t column, const std::string &cell)
+{
+    std::vector<std::string> cells = {
+        "9", "9", "batch", "completed", "0", "0", "60", "1", "2", "4",
+        "0.1", "0.5", "0", "0", "0", "0", "0", "0", "0", "0"};
+    cells[column] = cell;
+    std::string row;
+    for (const std::string &c : cells)
+        row += (row.empty() ? "" : ",") + c;
+    return row;
+}
+
+Dataset
+loadText(const std::string &text, std::string *error = nullptr)
+{
+    std::istringstream is(text);
+    return loadDatasetCsv(is, error);
+}
+
+TEST(CsvLoader, MissingOrForeignHeaderIsAnErrorNotAnAbort)
+{
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Silent);
+    std::string error;
+    EXPECT_TRUE(loadText("", &error).empty());
+    EXPECT_EQ(error, "empty CSV: no header");
+    EXPECT_TRUE(loadText("id,user\n" + rowWith(0, "1") + '\n', &error)
+                    .empty());
+    EXPECT_EQ(error, "unrecognized dataset CSV header (2 columns)");
+    EXPECT_TRUE(loadText("\n", &error).empty());
+    EXPECT_EQ(error, "unrecognized dataset CSV header (1 columns)");
+    setLogLevel(level);
+
+    // A good header clears an earlier error.
+    EXPECT_EQ(loadText(csvHeader() + rowWith(0, "1"), &error).size(), 1u);
+    EXPECT_EQ(error, "");
+}
+
+TEST(CsvLoader, LineLongerThanAReadWindowIsSkipped)
+{
+    // A line that fills a whole read window (and many parse pieces)
+    // is read on to its end, dropped with its own number, and the rows
+    // around it still load.
+    const std::string huge(csv_read_window + csv_read_window / 2, 'x');
+    const std::string text = csvHeader() + rowWith(0, "1") + '\n' + huge +
+                             ",a,b,c\n" + rowWith(0, "2") + '\n';
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Warn);
+    ::testing::internal::CaptureStderr();
+    const Dataset loaded = loadText(text);
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    setLogLevel(level);
+    ASSERT_EQ(loaded.size(), 2u);
+    EXPECT_EQ(loaded.records()[0].id, 1u);
+    EXPECT_EQ(loaded.records()[1].id, 2u);
+    EXPECT_EQ(warnings, "[aiwc:warn] skipping CSV line 3: expected 20 "
+                        "cells, got 4\n");
+}
+
+TEST(CsvLoader, MutatedExportsLoadAlikeAtAnyThreadCount)
+{
+    // The loader is total: truncated, bit-flipped and spliced copies
+    // of a valid export must each load without aborting, and to the
+    // same records and error at 1 and 4 threads.
+    Dataset ds;
+    for (JobId id = 0; id < 8; ++id) {
+        JobRecord r = id % 3 == 0 ? cpuRecord(id, id % 7, 60.0 * id)
+                                  : gpuRecord(id, id % 7, 60.0 * id,
+                                              1 + static_cast<int>(id % 4),
+                                              0.3, 0.9);
+        r.interface = static_cast<Interface>(id % num_interfaces);
+        ds.add(r);
+    }
+    std::stringstream buffer;
+    ds.writeCsv(buffer);
+    const std::string valid = buffer.str();
+
+    constexpr int mutants = 2000;
+    Rng rng(2022);
+    std::vector<std::string> texts;
+    for (int i = 0; i < mutants; ++i) {
+        std::string m = valid;
+        if (i % 3 == 0) {
+            m.resize(rng.below(m.size() + 1));
+        } else if (i % 3 == 1) {
+            for (std::uint64_t f = 1 + rng.below(4); f > 0; --f)
+                m[rng.below(m.size())] ^=
+                    static_cast<char>(1u << rng.below(8));
+        } else {
+            m = valid.substr(0, rng.below(valid.size() + 1)) +
+                valid.substr(rng.below(valid.size() + 1));
+        }
+        texts.push_back(std::move(m));
+    }
+
+    const int before = globalThreadCount();
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Silent);
+    std::vector<std::pair<std::uint64_t, std::string>> serial;
+    setGlobalThreadCount(1);
+    for (const std::string &text : texts) {
+        std::string error;
+        const std::uint64_t digest = fmt::contentDigest(loadText(text, &error));
+        serial.emplace_back(digest, error);
+    }
+    setGlobalThreadCount(4);
+    for (int i = 0; i < mutants; ++i) {
+        std::string error;
+        const std::uint64_t digest =
+            fmt::contentDigest(loadText(texts[i], &error));
+        EXPECT_EQ(digest, serial[i].first) << "mutant " << i;
+        EXPECT_EQ(error, serial[i].second) << "mutant " << i;
+    }
+    setLogLevel(level);
+    setGlobalThreadCount(before);
+}
+
+TEST(CsvLoader, NumericCellsParseExactlyAsStrtod)
+{
+    // Whatever fast path the loader takes, a numeric cell must decide
+    // the row and land in the record exactly as std::strtod of the
+    // cell does: a row is dropped iff strtod is non-finite, and a kept
+    // value is bit-equal to it.
+    struct Case
+    {
+        const char *cell;
+        bool kept;
+    };
+    const Case cases[] = {
+        {"+1", true},      {" 1", true},    {"1 ", true},
+        {"1e", true},      {"0x1p3", true}, {"", true},
+        {"1e400", false},  {"-0", true},    {"4.9e-324", true},
+        {"1.5abc", true},  {"nan", false},  {"inf", false},
+    };
+    // submit_s, start_s, end_s and ram_gb land in the record verbatim.
+    const std::size_t columns[] = {4, 5, 6, 9};
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Silent);
+    for (const Case &c : cases) {
+        for (const std::size_t column : columns) {
+            SCOPED_TRACE(std::string("cell '") + c.cell + "' in column " +
+                         std::to_string(column + 1));
+            const Dataset loaded =
+                loadText(csvHeader() + rowWith(column, c.cell) + '\n');
+            ASSERT_EQ(loaded.size(), c.kept ? 1u : 0u);
+            if (!c.kept)
+                continue;
+            const JobRecord &r = loaded.records()[0];
+            const double got = column == 4   ? r.submit_time
+                               : column == 5 ? r.start_time
+                               : column == 6 ? r.end_time
+                                             : r.ram_gb;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(
+                          std::strtod(c.cell, nullptr)));
+        }
+    }
+    setLogLevel(level);
+}
+
+TEST(CsvLoader, IdCellsParseExactlyAsStrtoul)
+{
+    // Id and user cells are never rejected; each is whatever
+    // std::strtoul makes of the cell, narrowed to the id type.
+    for (const char *cell : {"-1", "4294967296", "12x", "7"}) {
+        SCOPED_TRACE(cell);
+        const auto want =
+            static_cast<JobId>(std::strtoul(cell, nullptr, 10));
+        const Dataset by_id = loadText(csvHeader() + rowWith(0, cell));
+        ASSERT_EQ(by_id.size(), 1u);
+        EXPECT_EQ(by_id.records()[0].id, want);
+        const Dataset by_user = loadText(csvHeader() + rowWith(1, cell));
+        ASSERT_EQ(by_user.size(), 1u);
+        EXPECT_EQ(by_user.records()[0].user, static_cast<UserId>(want));
+    }
+}
+
+TEST(CsvLoader, WarningsKeepLineOrderAcrossReadWindows)
+{
+    // Bad rows sit on both sides of the first two read-window
+    // boundaries, every 613th line, and on the last line (which has no
+    // newline). However the input is cut, the warnings must come out
+    // one per bad row, in line order, with the line's number.
+    const std::string bad_rows[][2] = {
+        {"not,a,valid,row", "expected 20 cells, got 4"},
+        {rowWith(2, "telnet"), "unknown interface 'telnet'"},
+        {rowWith(10, "nan"), "non-finite value in column 11"},
+    };
+    const std::string good = rowWith(0, "1");
+    const std::size_t near = 4 * good.size();
+    const auto nearBoundary = [&](std::size_t offset) {
+        for (std::size_t w = 1; w <= 2; ++w) {
+            const std::size_t boundary = w * csv_read_window;
+            if (offset + near > boundary && offset < boundary + near)
+                return true;
+        }
+        return false;
+    };
+
+    std::string text = csvHeader();
+    std::string expected;
+    std::size_t kept = 0;
+    std::size_t line = 1;
+    while (text.size() < 2 * csv_read_window + csv_read_window / 2) {
+        ++line;
+        if (nearBoundary(text.size()) || line % 613 == 0) {
+            const auto &bad = bad_rows[line % 3];
+            text += bad[0] + '\n';
+            expected += "[aiwc:warn] skipping CSV line " +
+                        std::to_string(line) + ": " + bad[1] + '\n';
+        } else {
+            text += good + '\n';
+            ++kept;
+        }
+    }
+    ++line;
+    text += bad_rows[0][0];
+    expected += "[aiwc:warn] skipping CSV line " + std::to_string(line) +
+                ": " + bad_rows[0][1] + '\n';
+
+    const int before = globalThreadCount();
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Warn);
+    for (const int threads : {1, 8}) {
+        SCOPED_TRACE(threads);
+        setGlobalThreadCount(threads);
+        ::testing::internal::CaptureStderr();
+        const Dataset loaded = loadText(text);
+        const std::string warnings =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(loaded.size(), kept);
+        EXPECT_EQ(warnings, expected);
+    }
+    setLogLevel(level);
+    setGlobalThreadCount(before);
 }
 
 } // namespace

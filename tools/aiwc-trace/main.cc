@@ -52,7 +52,7 @@ hexDigest(std::uint64_t digest)
     return os.str();
 }
 
-/** Load a dataset from CSV; exits 2 on unreadable input. */
+/** Load a dataset from CSV; exits 2 on unreadable input or header. */
 bool
 loadCsv(const std::string &path, core::Dataset &out)
 {
@@ -61,7 +61,12 @@ loadCsv(const std::string &path, core::Dataset &out)
         std::cerr << "aiwc-trace: cannot read " << path << "\n";
         return false;
     }
-    out = core::loadDatasetCsv(file);
+    std::string error;
+    out = core::loadDatasetCsv(file, &error);
+    if (!error.empty()) {
+        std::cerr << "aiwc-trace: " << path << ": " << error << "\n";
+        return false;
+    }
     return true;
 }
 
