@@ -234,7 +234,6 @@ TEST(CsvLoader, AnalyzersAgreeAfterRoundTrip)
     EXPECT_EQ(loaded.uniqueUsers(), original.uniqueUsers());
 }
 
-
 /** The header line writeCsv emits. */
 std::string
 csvHeader()
@@ -252,9 +251,9 @@ rowWith(std::size_t column, const std::string &cell)
         "9", "9", "batch", "completed", "0", "0", "60", "1", "2", "4",
         "0.1", "0.5", "0", "0", "0", "0", "0", "0", "0", "0"};
     cells[column] = cell;
-    std::string row;
-    for (const std::string &c : cells)
-        row += (row.empty() ? "" : ",") + c;
+    std::string row = cells[0];
+    for (std::size_t c = 1; c < cells.size(); ++c)
+        row += ',' + cells[c];
     return row;
 }
 
