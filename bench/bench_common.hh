@@ -1,16 +1,18 @@
 /**
  * @file
- * Shared harness for the figure-reproduction benches.
+ * Shared harness for the bench binaries.
  *
- * Every bench binary does two things:
- *  1. prints the series its paper figure plots, with a `paper` column
- *     beside the `measured` column (shape match, not absolute match);
- *  2. registers google-benchmark timers for the analyzer kernels that
- *     produce those series.
+ * Every bench builds the same synthetic study, once per process. Scale
+ * and seed come from AIWC_BENCH_SCALE / AIWC_BENCH_SEED (defaults
+ * 0.15 / 2022 — a ~19-day slice of the 125-day study, enough for
+ * stable medians); a malformed value exits 2 with one line naming the
+ * variable. `--threads N` sizes the analysis pool.
  *
- * The synthetic study is built once per binary. Scale and seed come
- * from AIWC_BENCH_SCALE / AIWC_BENCH_SEED (defaults 0.15 / 2022 — a
- * ~19-day slice of the 125-day study, enough for stable medians).
+ * bench_figures prints the paper's tables and figures with a `paper`
+ * column beside the `measured` one (Comparison) and times nothing. The
+ * other benches time their kernels, with google-benchmark through
+ * AIWC_BENCH_MAIN or with their own clock, and write the
+ * BENCH_report.json described below.
  */
 
 #ifndef AIWC_BENCH_BENCH_COMMON_HH
@@ -18,8 +20,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -61,20 +66,45 @@ applyThreadFlag(int *argc, char **argv)
         setGlobalThreadCount(threads);
 }
 
+/** Print one line naming a malformed bench variable and exit 2. */
+[[noreturn]] inline void
+rejectEnv(const char *name, const char *value, const char *expected)
+{
+    std::cerr << name << "='" << value << "' is not " << expected
+              << '\n';
+    std::exit(2);
+}
+
+/** AIWC_BENCH_SCALE: the whole value must be a finite number > 0. */
 inline double
 benchScale()
 {
-    if (const char *env = std::getenv("AIWC_BENCH_SCALE"))
-        return std::atof(env);
-    return 0.15;
+    const char *env = std::getenv("AIWC_BENCH_SCALE");
+    if (env == nullptr)
+        return 0.15;
+    double scale = 0.0;
+    const char *end = env + std::strlen(env);
+    const auto [ptr, ec] = std::from_chars(env, end, scale);
+    if (ec != std::errc() || ptr != end || !std::isfinite(scale) ||
+        scale <= 0.0) {
+        rejectEnv("AIWC_BENCH_SCALE", env, "a finite number > 0");
+    }
+    return scale;
 }
 
+/** AIWC_BENCH_SEED: the whole value must be an unsigned 64-bit integer. */
 inline std::uint64_t
 benchSeed()
 {
-    if (const char *env = std::getenv("AIWC_BENCH_SEED"))
-        return std::strtoull(env, nullptr, 10);
-    return 2022;
+    const char *env = std::getenv("AIWC_BENCH_SEED");
+    if (env == nullptr)
+        return 2022;
+    std::uint64_t seed = 0;
+    const char *end = env + std::strlen(env);
+    const auto [ptr, ec] = std::from_chars(env, end, seed);
+    if (ec != std::errc() || ptr != end)
+        rejectEnv("AIWC_BENCH_SEED", env, "an unsigned 64-bit integer");
+    return seed;
 }
 
 /** The shared synthetic study (built on first use). */
@@ -152,11 +182,11 @@ printBanner(std::ostream &os, const char *figure)
 // ---------------------------------------------------------------------
 // BENCH_report.json: the machine-readable perf trajectory.
 //
-// Passing `--json[=path]` to any bench binary writes a report with the
+// Passing `--json[=path]` to a timed bench writes a report with the
 // per-bench wall times, the synthesis configuration, the git SHA, the
 // thread count, and a full metrics-registry snapshot. scripts/
 // bench_compare.py diffs two reports and flags regressions; CI's
-// perf-smoke job runs it against bench/baseline.json.
+// perf-gate job runs it against the bench/baseline*.json files.
 // ---------------------------------------------------------------------
 
 /** One timed entry of the report. */
@@ -328,7 +358,7 @@ class CapturingReporter : public ::benchmark::ConsoleReporter
 } // namespace aiwc::bench
 
 /**
- * Bench main: print the figure comparison, then run the registered
+ * Bench main: print the bench's tables, then run the registered
  * google-benchmark timers (suppressible with AIWC_BENCH_SKIP_TIMING).
  * With `--json[=path]`, also write the BENCH_report.json described
  * above.

@@ -4,9 +4,9 @@
 Usage:
     scripts/bench_compare.py [options] BASELINE CANDIDATE
 
-Any bench binary writes a report with `--json[=path]` (see bench/
-bench_common.hh); CI's perf-smoke job compares the fresh report against
-the checked-in bench/baseline.json.
+A timed bench writes a report with `--json[=path]` (see bench/
+bench_common.hh); CI's perf-gate job compares each fresh report against
+its checked-in bench/baseline*.json.
 
 Comparison rules:
   * Wall times are compared per entry name. An entry regresses when
@@ -27,8 +27,10 @@ Comparison rules:
     match exactly when both reports used the same scale+seed: a
     mismatch means the tree now does *different work*, which a timing
     threshold would hide. Counter drift is reported as a warning.
-  * Reports from different configurations (scale/seed) are not
-    comparable; the script says so and exits 0.
+  * Reports from different benches or configurations (bench name,
+    scale, seed) are not comparable; the script says so and exits 0,
+    or 2 under --strict — a renamed bench or a changed CI environment
+    must not switch the gate off silently.
   * A missing baseline file is reported as a distinct MISSING-BASELINE
     warning (it is *not* a passing comparison — nothing was compared).
     By default that exits 0 so a freshly added bench can soft-launch
@@ -36,8 +38,9 @@ Comparison rules:
     can refuse to silently skip the gate forever.
 
 Exit status: 1 when any wall-time regression was found and --warn-only
-was not given; 2 when --strict was given and either the baseline file
-is missing or a STALE entry was found; 0 otherwise.
+was not given; 2 when --strict was given and the baseline file is
+missing, the reports are not comparable, or a STALE entry was found;
+0 otherwise.
 """
 
 import argparse
@@ -145,9 +148,9 @@ def main():
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit 2 on a missing baseline file or a STALE entry "
-        "instead of warning (a skipped or partly-fictional comparison "
-        "must not look like a pass)",
+        help="exit 2 on a missing baseline file, reports that are not "
+        "comparable, or a STALE entry instead of warning (a skipped or "
+        "partly-fictional comparison must not look like a pass)",
     )
     args = parser.parse_args()
     if args.threshold <= 1.0:
@@ -189,6 +192,9 @@ def main():
                 f"reports are not comparable: {key} differs "
                 f"({base.get(key)!r} vs {cand.get(key)!r}); nothing to do"
             )
+            if args.strict:
+                print("strict mode: exiting 2 for a skipped comparison")
+                return 2
             return 0
 
     base_entries = {e["name"]: e for e in base.get("entries", [])}
