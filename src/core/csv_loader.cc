@@ -82,9 +82,6 @@ metric(double mean, double max)
                                               std::max(mean, max));
 }
 
-/** Largest GPU count one row may claim, as in the .aiwt decoder. */
-constexpr double max_gpus_per_row = 1024.0;
-
 /**
  * A window is cut into parse pieces at multiples of this many bytes,
  * each moved forward past the next newline: 16 pieces per full window.
@@ -147,7 +144,7 @@ decodeRow(const Cells &cells, JobRecord &r)
     if (!terminal)
         return "unknown terminal state '" + std::string(cells[kTerminal]) +
                "'";
-    if (v[kGpus] < 0.0 || v[kGpus] > max_gpus_per_row)
+    if (v[kGpus] < 0.0 || v[kGpus] > max_gpus_per_job)
         return "gpus out of range: " + std::string(cells[kGpus]);
     if (v[kCpuSlots] < 0.0 ||
         v[kCpuSlots] > std::numeric_limits<int>::max())
@@ -256,14 +253,18 @@ parsePiece(Piece &piece)
     }
 }
 
+/** Skipped lines warned about one by one; the rest are only counted. */
+constexpr std::size_t max_line_warnings = 256;
+
 /**
  * Parse the whole lines in `text`, the first numbered `line_no`, onto
- * `records`; warn about each skipped line in line order. Returns the
- * number of the line after the last.
+ * `records`; warn about each skipped line in line order while fewer
+ * than max_line_warnings have been, and count every one in `skipped`.
+ * Returns the number of the line after the last.
  */
 std::size_t
 parseLines(std::string_view text, std::size_t line_no,
-           std::vector<JobRecord> &records)
+           std::vector<JobRecord> &records, std::size_t &skipped)
 {
     std::vector<Piece> pieces;
     for (std::size_t begin = 0, cut = piece_bytes; begin < text.size();
@@ -282,7 +283,8 @@ parseLines(std::string_view text, std::size_t line_no,
                 [&pieces](std::size_t i) { parsePiece(pieces[i]); });
     for (Piece &piece : pieces) {
         for (const auto &[line, why] : piece.skipped)
-            warn("skipping CSV line ", line_no + line, ": ", why);
+            if (skipped++ < max_line_warnings)
+                warn("skipping CSV line ", line_no + line, ": ", why);
         line_no += piece.lines;
         records.insert(records.end(),
                        std::make_move_iterator(piece.records.begin()),
@@ -318,6 +320,7 @@ loadDatasetCsv(std::istream &is, std::string *error)
     std::size_t have = 0;     // bytes in window, the carried tail first
     std::size_t line_no = 0;  // number of the next line; 0 before the header
     std::vector<JobRecord> records;
+    std::size_t skipped = 0;
     for (bool eof = false; !eof;) {
         if (have == size) {
             // One line fills the window: double it and read on.
@@ -354,11 +357,13 @@ loadDatasetCsv(std::istream &is, std::string *error)
             text.remove_prefix(std::min(end + 1, text.size()));
             line_no = 2;
         }
-        line_no = parseLines(text, line_no, records);
+        line_no = parseLines(text, line_no, records, skipped);
         std::copy(window.get() + consumed, window.get() + have,
                   window.get());
         have -= consumed;
     }
+    if (skipped > max_line_warnings)
+        warn(skipped - max_line_warnings, " more skipped CSV lines not shown");
     return Dataset(std::move(records));
 }
 

@@ -1,6 +1,7 @@
 #include "aiwc/core/job_record.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "aiwc/base/logging.hh"
 
@@ -74,6 +75,61 @@ JobRecord::idleGpuCount(double sm_threshold) const
         if (g.idle(sm_threshold))
             ++n;
     return n;
+}
+
+namespace
+{
+
+void
+writeIntervals(ByteWriter &w, const std::vector<double> &intervals)
+{
+    w.u32(static_cast<std::uint32_t>(intervals.size()));
+    for (const double v : intervals)
+        w.f64(v);
+}
+
+bool
+readIntervals(ByteReader &r, std::vector<double> &out)
+{
+    const std::uint32_t n = r.u32();
+    if (!r.ok() || r.remaining() < static_cast<std::size_t>(n) * 8)
+        return false;
+    out.resize(n);
+    for (double &v : out) {
+        v = r.f64();
+        if (!std::isfinite(v) || v < 0.0)
+            return false;
+    }
+    return r.ok();
+}
+
+} // namespace
+
+void
+writePhaseStats(ByteWriter &w, const PhaseStats &phases)
+{
+    w.f64(phases.active_fraction);
+    w.f64(phases.active_sm_cov);
+    w.f64(phases.active_membw_cov);
+    w.f64(phases.active_memsize_cov);
+    writeIntervals(w, phases.active_intervals);
+    writeIntervals(w, phases.idle_intervals);
+}
+
+const char *
+readPhaseStats(ByteReader &r, PhaseStats &out)
+{
+    out.active_fraction = r.f64();
+    out.active_sm_cov = r.f64();
+    out.active_membw_cov = r.f64();
+    out.active_memsize_cov = r.f64();
+    if (!r.ok() || !std::isfinite(out.active_fraction) ||
+        out.active_fraction < 0.0 || out.active_fraction > 1.0)
+        return "invalid phase fraction";
+    if (!readIntervals(r, out.active_intervals) ||
+        !readIntervals(r, out.idle_intervals))
+        return "invalid phase intervals";
+    return nullptr;
 }
 
 } // namespace aiwc::core

@@ -50,8 +50,6 @@ constexpr std::size_t raw_state_bytes = 8 + 4 * 8;
 /** Six summaries (Resource order) per flattened GPU. */
 constexpr std::size_t gpu_stats_bytes = 6 * raw_state_bytes;
 
-/** Sanity ceiling on GPUs per job (the study tops out at 16). */
-constexpr std::uint64_t max_gpus_per_row = 1024;
 /** Sanity ceiling on rows, far above any real trace. */
 constexpr std::uint64_t max_rows = 1ull << 48;
 
@@ -237,18 +235,7 @@ buildSections(const core::Dataset &dataset)
         for (const core::JobRecord &r : records) {
             if (!r.has_timeseries)
                 continue;
-            w.f64(r.phases.active_fraction);
-            w.f64(r.phases.active_sm_cov);
-            w.f64(r.phases.active_membw_cov);
-            w.f64(r.phases.active_memsize_cov);
-            w.u32(static_cast<std::uint32_t>(
-                r.phases.active_intervals.size()));
-            for (double v : r.phases.active_intervals)
-                w.f64(v);
-            w.u32(static_cast<std::uint32_t>(
-                r.phases.idle_intervals.size()));
-            for (double v : r.phases.idle_intervals)
-                w.f64(v);
+            core::writePhaseStats(w, r.phases);
         }
     }
     {
@@ -517,10 +504,10 @@ decodeTrace(std::span<const std::uint8_t> bytes)
             !std::isfinite(rec.walltime_limit) ||
             !std::isfinite(rec.ram_gb))
             return reject(TraceStatus::Malformed, "non-finite time column");
-        if (gpus_v > max_gpus_per_row)
+        if (gpus_v > core::max_gpus_per_job)
             return reject(TraceStatus::Malformed, "implausible gpu count");
         if (gpu_end < prev_off || gpu_end > n_gpu_stats ||
-            gpu_end - prev_off > max_gpus_per_row)
+            gpu_end - prev_off > core::max_gpus_per_job)
             return reject(TraceStatus::Malformed, "bogus gpu_offsets");
         rec.interface = static_cast<Interface>(iface_v);
         rec.terminal = static_cast<TerminalState>(terminal_v);
@@ -542,36 +529,8 @@ decodeTrace(std::span<const std::uint8_t> bytes)
         prev_off = gpu_end;
 
         if (rec.has_timeseries) {
-            rec.phases.active_fraction = phases.f64();
-            // The CoV fields may legitimately be NaN (the covPercent
-            // zero-mean convention); only the fraction is range-checked.
-            rec.phases.active_sm_cov = phases.f64();
-            rec.phases.active_membw_cov = phases.f64();
-            rec.phases.active_memsize_cov = phases.f64();
-            if (!phases.ok() ||
-                !std::isfinite(rec.phases.active_fraction) ||
-                rec.phases.active_fraction < 0.0 ||
-                rec.phases.active_fraction > 1.0)
-                return reject(TraceStatus::Malformed,
-                              "invalid phase fraction");
-            auto read_intervals = [&](std::vector<double> &out) {
-                const std::uint32_t count = phases.u32();
-                if (!phases.ok() ||
-                    phases.remaining() <
-                        static_cast<std::size_t>(count) * 8)
-                    return false;
-                out.resize(count);
-                for (double &v : out) {
-                    v = phases.f64();
-                    if (!std::isfinite(v) || v < 0.0)
-                        return false;
-                }
-                return phases.ok();
-            };
-            if (!read_intervals(rec.phases.active_intervals) ||
-                !read_intervals(rec.phases.idle_intervals))
-                return reject(TraceStatus::Malformed,
-                              "invalid phase intervals");
+            if (const char *why = core::readPhaseStats(phases, rec.phases))
+                return reject(TraceStatus::Malformed, why);
         }
         records.push_back(std::move(rec));
     }

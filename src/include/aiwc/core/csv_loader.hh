@@ -24,7 +24,8 @@
  *    of the cell, so every kept value is bit-equal to strtod's.
  *  - The loader is total: a missing or unrecognized header is reported,
  *    not fatal, and a bad data row is skipped with a warning naming its
- *    line. Warnings come out in line order whatever the thread count.
+ *    line. Warnings come out in line order whatever the thread count;
+ *    after the first 256, one last line gives how many were not shown.
  */
 
 #pragma once
@@ -50,7 +51,7 @@ inline constexpr std::size_t csv_read_window = std::size_t{1} << 20;
  * leaves `*error` empty. Skips, with a warning, every data row that
  * cannot be a job record: a wrong cell count, a non-finite number, an
  * unknown interface or terminal name, or a gpus count outside
- * [0, 1024] or cpu_slots outside [0, INT_MAX].
+ * [0, max_gpus_per_job] or cpu_slots outside [0, INT_MAX].
  */
 Dataset loadDatasetCsv(std::istream &is, std::string *error = nullptr);
 

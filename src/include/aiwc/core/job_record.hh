@@ -11,13 +11,21 @@
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "aiwc/common/binary.hh"
 #include "aiwc/common/types.hh"
 #include "aiwc/stats/descriptive.hh"
 
 namespace aiwc::core
 {
+
+/**
+ * Largest GPU count one job may claim; the CSV, `.aiwt` and wire-frame
+ * readers reject a job above it (the study tops out at 16).
+ */
+inline constexpr std::uint32_t max_gpus_per_job = 1024;
 
 /** Per-GPU min/mean/max summaries of every monitored metric. */
 struct GpuUsageSummary
@@ -54,6 +62,20 @@ struct PhaseStats
     double active_membw_cov = 0.0;
     double active_memsize_cov = 0.0;
 };
+
+/**
+ * Append the binary phase block that `.aiwt` and the wire frames
+ * share: f64 active_fraction, the three f64 CoVs, then the active and
+ * the idle intervals, each a u32 count followed by that many f64s.
+ */
+void writePhaseStats(ByteWriter &w, const PhaseStats &phases);
+
+/**
+ * Read a writePhaseStats block into `out`. Total: nullptr on success,
+ * else "invalid phase fraction" (truncated, or outside [0, 1]) or
+ * "invalid phase intervals". The CoVs may be NaN (zero-mean CoV).
+ */
+const char *readPhaseStats(ByteReader &r, PhaseStats &out);
 
 /** One row of the merged study dataset. */
 struct JobRecord

@@ -1,6 +1,8 @@
 #include "aiwc/scenario/runner.hh"
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
 #include "aiwc/common/parallel.hh"
 #include "aiwc/obs/metrics.hh"
@@ -41,16 +43,13 @@ acceleratedType(TaskType t)
 
 /**
  * The cell's GPU slice: records that are GPU jobs *and* were tagged an
- * accelerated type by this mix. Re-derives the same keyed per-record
- * type draw as tasksFromDataset (same seed, same mix), so the slice is
- * a pure function of record content.
+ * accelerated type in `tasks`, the mix's tasksFromDataset stream. Type
+ * draws are keyed by record id, so the slice is a pure function of
+ * record content.
  */
 core::Dataset
-gpuSlice(const core::Dataset &dataset, const TaskMix &mix,
-         std::uint64_t seed)
+gpuSlice(const core::Dataset &dataset, const std::vector<Task> &tasks)
 {
-    const std::vector<Task> tasks = tasksFromDataset(dataset, mix, seed);
-    // Type draws are keyed by record id; collect the accelerated ids.
     std::vector<std::uint32_t> ids;
     for (const Task &t : tasks)
         if (t.gpus > 0 && acceleratedType(t.type))
@@ -89,6 +88,64 @@ computeOverlay(const core::Dataset &slice, const MachineClassSpec &cls,
     return overlay;
 }
 
+/** One task mix as its cells see it. */
+struct SweepMix
+{
+    std::string name;
+    std::vector<Task> tasks;
+    /** The mix's GPU slice, present when planner overlays are on. */
+    std::optional<core::Dataset> slice;
+};
+
+/**
+ * Simulate every (machine class, mix, policy) cell, laid out
+ * machine-class-major. Shard-safe: cell i writes only
+ * report.cells[i]; overlays are computed by the policy-0 cell of each
+ * (class, mix) pair and copied across afterwards.
+ */
+FrontierReport
+sweepCells(const ScenarioSpec &spec, const SweepOptions &options,
+           const std::vector<SweepMix> &mixes,
+           const std::vector<const SchedulingPolicy *> &policies)
+{
+    FrontierReport report;
+    report.scenario = spec.name;
+    report.seed = options.seed;
+    const std::size_t n_mix = mixes.size();
+    const std::size_t n_pol = policies.size();
+    const std::size_t n_cells = spec.machines.size() * n_mix * n_pol;
+    if (n_cells == 0)
+        return report;
+
+    report.cells.resize(n_cells);
+    parallelFor(globalPool(), n_cells, [&](std::size_t i) {
+        obs::TraceSpan cell_span("scenario.cell");
+        obs::ScopedTimer timer(RunnerMetrics::get().cell_ns);
+        const MachineClassSpec &cls = spec.machines[i / (n_mix * n_pol)];
+        const SweepMix &mix = mixes[(i / n_pol) % n_mix];
+        const std::size_t pol_i = i % n_pol;
+        const SchedulingPolicy &policy = *policies[pol_i];
+        CellResult &cell = report.cells[i];
+        cell.machine_class = cls.name;
+        cell.task_mix = mix.name;
+        cell.policy = policy.name();
+        const int count = cls.count < options.machines_per_cell
+                              ? (cls.count > 0 ? cls.count : 1)
+                              : options.machines_per_cell;
+        cell.stats = simulateCell(cls, count, mix.tasks, policy);
+        if (pol_i == 0 && mix.slice)
+            cell.overlay = computeOverlay(*mix.slice, cls,
+                                          options.min_overlay_gpu_jobs);
+    });
+    for (std::size_t i = 0; i < n_cells; ++i)
+        if (i % n_pol != 0)
+            report.cells[i].overlay = report.cells[i - i % n_pol].overlay;
+
+    report.frontier = paretoFrontier(report.cells);
+    RunnerMetrics::get().sweeps.add(1);
+    return report;
+}
+
 } // namespace
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec &spec, SweepOptions options)
@@ -108,59 +165,18 @@ ScenarioRunner::sweep(
     const std::vector<const SchedulingPolicy *> &policies) const
 {
     obs::TraceSpan span("scenario.sweep");
-    FrontierReport report;
-    report.scenario = spec_.name;
-    report.seed = options_.seed;
-    const std::size_t n_cls = spec_.machines.size();
-    const std::size_t n_mix = mixes.size();
-    const std::size_t n_pol = policies.size();
-    const std::size_t n_cells = n_cls * n_mix * n_pol;
-    if (n_cells == 0)
-        return report;
-
     // Derive each mix's task stream (and GPU slice) once, serially;
     // cells share them read-only.
-    std::vector<std::vector<Task>> mix_tasks;
-    std::vector<core::Dataset> mix_slices;
-    mix_tasks.reserve(n_mix);
+    std::vector<SweepMix> sweep_mixes;
+    sweep_mixes.reserve(mixes.size());
     for (const TaskMix &mix : mixes) {
-        mix_tasks.push_back(tasksFromDataset(dataset, mix, options_.seed));
+        SweepMix &m = sweep_mixes.emplace_back();
+        m.name = mix.name;
+        m.tasks = tasksFromDataset(dataset, mix, options_.seed);
         if (options_.planner_overlays)
-            mix_slices.push_back(gpuSlice(dataset, mix, options_.seed));
+            m.slice = gpuSlice(dataset, m.tasks);
     }
-
-    report.cells.resize(n_cells);
-    // Shard-safe: cell i writes only report.cells[i]; overlays are
-    // computed by the policy-0 cell of each (class, mix) pair and
-    // copied across afterwards.
-    parallelFor(globalPool(), n_cells, [&](std::size_t i) {
-        obs::TraceSpan cell_span("scenario.cell");
-        obs::ScopedTimer timer(RunnerMetrics::get().cell_ns);
-        const std::size_t cls_i = i / (n_mix * n_pol);
-        const std::size_t mix_i = (i / n_pol) % n_mix;
-        const std::size_t pol_i = i % n_pol;
-        const MachineClassSpec &cls = spec_.machines[cls_i];
-        const SchedulingPolicy &policy = *policies[pol_i];
-        CellResult &cell = report.cells[i];
-        cell.machine_class = cls.name;
-        cell.task_mix = mixes[mix_i].name;
-        cell.policy = policy.name();
-        const int count = cls.count < options_.machines_per_cell
-                              ? (cls.count > 0 ? cls.count : 1)
-                              : options_.machines_per_cell;
-        cell.stats = simulateCell(cls, count, mix_tasks[mix_i], policy);
-        if (pol_i == 0 && options_.planner_overlays)
-            cell.overlay = computeOverlay(mix_slices[mix_i], cls,
-                                          options_.min_overlay_gpu_jobs);
-    });
-    // Propagate each (class, mix) overlay to its sibling policies.
-    for (std::size_t i = 0; i < n_cells; ++i)
-        if (i % n_pol != 0)
-            report.cells[i].overlay = report.cells[i - i % n_pol].overlay;
-
-    report.frontier = paretoFrontier(report.cells);
-    RunnerMetrics::get().sweeps.add(1);
-    return report;
+    return sweepCells(spec_, options_, sweep_mixes, policies);
 }
 
 FrontierReport
@@ -168,36 +184,9 @@ ScenarioRunner::sweepSynthetic(
     const std::vector<const SchedulingPolicy *> &policies) const
 {
     obs::TraceSpan span("scenario.sweep");
-    FrontierReport report;
-    report.scenario = spec_.name;
-    report.seed = options_.seed;
-    const std::size_t n_cls = spec_.machines.size();
-    const std::size_t n_pol = policies.size();
-    const std::size_t n_cells = n_cls * n_pol;
-    if (n_cells == 0)
-        return report;
-
-    const std::vector<Task> tasks = tasksFromSpec(spec_, options_.seed);
-    report.cells.resize(n_cells);
-    parallelFor(globalPool(), n_cells, [&](std::size_t i) {
-        obs::TraceSpan cell_span("scenario.cell");
-        obs::ScopedTimer timer(RunnerMetrics::get().cell_ns);
-        const std::size_t cls_i = i / n_pol;
-        const std::size_t pol_i = i % n_pol;
-        const MachineClassSpec &cls = spec_.machines[cls_i];
-        const SchedulingPolicy &policy = *policies[pol_i];
-        CellResult &cell = report.cells[i];
-        cell.machine_class = cls.name;
-        cell.task_mix = "spec";
-        cell.policy = policy.name();
-        const int count = cls.count < options_.machines_per_cell
-                              ? (cls.count > 0 ? cls.count : 1)
-                              : options_.machines_per_cell;
-        cell.stats = simulateCell(cls, count, tasks, policy);
-    });
-    report.frontier = paretoFrontier(report.cells);
-    RunnerMetrics::get().sweeps.add(1);
-    return report;
+    std::vector<SweepMix> spec_mix;
+    spec_mix.push_back({"spec", tasksFromSpec(spec_, options_.seed), {}});
+    return sweepCells(spec_, options_, spec_mix, policies);
 }
 
 } // namespace aiwc::scenario

@@ -43,9 +43,6 @@ constexpr std::size_t min_record_bytes =
 /** Per-GPU summaries are six metrics of five doubles-or-counts. */
 constexpr std::size_t gpu_summary_bytes = 6 * (8 + 4 * 8);
 
-/** Sanity ceiling on GPUs per job (the study tops out at 16). */
-constexpr std::size_t max_gpus_per_record = 1024;
-
 void
 writeSummary(ByteWriter &w, const stats::RunningSummary &s)
 {
@@ -106,35 +103,8 @@ writeRecord(ByteWriter &w, const core::JobRecord &rec)
         writeSummary(w, gpu.pcie_rx);
         writeSummary(w, gpu.power_watts);
     }
-    if (rec.has_timeseries) {
-        w.f64(rec.phases.active_fraction);
-        w.f64(rec.phases.active_sm_cov);
-        w.f64(rec.phases.active_membw_cov);
-        w.f64(rec.phases.active_memsize_cov);
-        w.u32(static_cast<std::uint32_t>(
-            rec.phases.active_intervals.size()));
-        for (double v : rec.phases.active_intervals)
-            w.f64(v);
-        w.u32(static_cast<std::uint32_t>(
-            rec.phases.idle_intervals.size()));
-        for (double v : rec.phases.idle_intervals)
-            w.f64(v);
-    }
-}
-
-bool
-readIntervals(ByteReader &r, std::vector<double> &out)
-{
-    const std::uint32_t n = r.u32();
-    if (!r.ok() || r.remaining() < static_cast<std::size_t>(n) * 8)
-        return false;
-    out.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        out[i] = r.f64();
-        if (!std::isfinite(out[i]) || out[i] < 0.0)
-            return false;
-    }
-    return r.ok();
+    if (rec.has_timeseries)
+        core::writePhaseStats(w, rec.phases);
 }
 
 bool
@@ -167,7 +137,7 @@ readRecord(ByteReader &r, core::JobRecord &rec)
         !std::isfinite(rec.end_time) ||
         !std::isfinite(rec.walltime_limit) || !std::isfinite(rec.ram_gb))
         return false;
-    if (gpu_count > max_gpus_per_record || gpus > max_gpus_per_record)
+    if (gpu_count > core::max_gpus_per_job || gpus > core::max_gpus_per_job)
         return false;
     if (r.remaining() < gpu_count * gpu_summary_bytes)
         return false;
@@ -186,21 +156,8 @@ readRecord(ByteReader &r, core::JobRecord &rec)
             !readSummary(r, gpu.power_watts))
             return false;
     }
-    if (rec.has_timeseries) {
-        rec.phases.active_fraction = r.f64();
-        // The CoV fields may legitimately be NaN (the covPercent
-        // zero-mean convention), so only the fraction is range-checked.
-        rec.phases.active_sm_cov = r.f64();
-        rec.phases.active_membw_cov = r.f64();
-        rec.phases.active_memsize_cov = r.f64();
-        if (!r.ok() || !std::isfinite(rec.phases.active_fraction) ||
-            rec.phases.active_fraction < 0.0 ||
-            rec.phases.active_fraction > 1.0)
-            return false;
-        if (!readIntervals(r, rec.phases.active_intervals) ||
-            !readIntervals(r, rec.phases.idle_intervals))
-            return false;
-    }
+    if (rec.has_timeseries && core::readPhaseStats(r, rec.phases) != nullptr)
+        return false;
     return r.ok();
 }
 

@@ -3,16 +3,18 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "../common/mutation_driver.hh"
 #include "record_builder.hh"
 
 #include "aiwc/base/logging.hh"
 #include "aiwc/common/csv.hh"
 #include "aiwc/common/parallel.hh"
-#include "aiwc/common/rng.hh"
 #include "aiwc/core/csv_loader.hh"
 #include "aiwc/fmt/trace.hh"
 
@@ -304,60 +306,88 @@ TEST(CsvLoader, LineLongerThanAReadWindowIsSkipped)
                         "cells, got 4\n");
 }
 
-TEST(CsvLoader, MutatedExportsLoadAlikeAtAnyThreadCount)
+/**
+ * The writeCsv export of `rows` jobs: a mix of CPU jobs and 1-4 GPU
+ * jobs over every interface, or CPU jobs only when `cpu_only`.
+ */
+std::string
+exportOf(JobId rows, bool cpu_only = false)
 {
-    // The loader is total: truncated, bit-flipped and spliced copies
-    // of a valid export must each load without aborting, and to the
-    // same records and error at 1 and 4 threads.
     Dataset ds;
-    for (JobId id = 0; id < 8; ++id) {
-        JobRecord r = id % 3 == 0 ? cpuRecord(id, id % 7, 60.0 * id)
-                                  : gpuRecord(id, id % 7, 60.0 * id,
-                                              1 + static_cast<int>(id % 4),
-                                              0.3, 0.9);
+    for (JobId id = 0; id < rows; ++id) {
+        JobRecord r = cpu_only || id % 3 == 0
+                          ? cpuRecord(id, id % 7, 60.0 * id)
+                          : gpuRecord(id, id % 7, 60.0 * id,
+                                      1 + static_cast<int>(id % 4), 0.3,
+                                      0.9);
         r.interface = static_cast<Interface>(id % num_interfaces);
         ds.add(r);
     }
     std::stringstream buffer;
     ds.writeCsv(buffer);
-    const std::string valid = buffer.str();
+    return buffer.str();
+}
 
-    constexpr int mutants = 2000;
-    Rng rng(2022);
-    std::vector<std::string> texts;
-    for (int i = 0; i < mutants; ++i) {
-        std::string m = valid;
-        if (i % 3 == 0) {
-            m.resize(rng.below(m.size() + 1));
-        } else if (i % 3 == 1) {
-            for (std::uint64_t f = 1 + rng.below(4); f > 0; --f)
-                m[rng.below(m.size())] ^=
-                    static_cast<char>(1u << rng.below(8));
-        } else {
-            m = valid.substr(0, rng.below(valid.size() + 1)) +
-                valid.substr(rng.below(valid.size() + 1));
-        }
-        texts.push_back(std::move(m));
+/**
+ * What loading `text` shows: the content digest, the error and the
+ * warnings, which must name their lines in increasing order.
+ */
+std::tuple<std::uint64_t, std::string, std::string>
+loadVerdict(const std::string &text)
+{
+    std::string error;
+    ::testing::internal::CaptureStderr();
+    const Dataset loaded = loadText(text, &error);
+    std::string warnings = ::testing::internal::GetCapturedStderr();
+    std::size_t last = 0;
+    for (std::size_t at = warnings.find("CSV line "); at != std::string::npos;
+         at = warnings.find("CSV line ", at + 1)) {
+        const std::size_t line = std::stoul(warnings.substr(at + 9, 20));
+        EXPECT_GT(line, last) << warnings;
+        last = line;
     }
+    // Every empty dataset has one digest; skip encoding it.
+    return {loaded.empty() ? 0 : fmt::contentDigest(loaded), error,
+            warnings};
+}
+
+TEST(CsvLoader, MutatedExportsLoadAlikeAtAnyThreadCount)
+{
+    // The loader is total: every mutant of a valid export loads without
+    // aborting, to the same records, error and warnings at 1 and 4
+    // threads. The 2-row export is short enough for every prefix; the
+    // CPU-only one spans more than two parse pieces and is cheap to
+    // digest. The counts keep the debug-tsan run under 15 s.
+    using enum fuzz::MutationKind;
+    const auto loadAlike = [](const fuzz::MutationDriver &driver,
+                              std::initializer_list<fuzz::Batch> batches) {
+        std::vector<decltype(loadVerdict({}))> serial;
+        setGlobalThreadCount(1);
+        driver.run(batches, [&](const fuzz::Mutant &m) {
+            serial.push_back(loadVerdict(m.bytes));
+        });
+        setGlobalThreadCount(4);
+        auto expected = serial.begin();
+        driver.run(batches, [&](const fuzz::Mutant &m) {
+            EXPECT_EQ(loadVerdict(m.bytes), *expected++);
+        });
+    };
+    const std::string large = exportOf(2000, true);
+    ASSERT_GT(large.size(), std::size_t{128} << 10);
 
     const int before = globalThreadCount();
     const LogLevel level = logLevel();
-    setLogLevel(LogLevel::Silent);
-    std::vector<std::pair<std::uint64_t, std::string>> serial;
-    setGlobalThreadCount(1);
-    for (const std::string &text : texts) {
-        std::string error;
-        const std::uint64_t digest = fmt::contentDigest(loadText(text, &error));
-        serial.emplace_back(digest, error);
-    }
-    setGlobalThreadCount(4);
-    for (int i = 0; i < mutants; ++i) {
-        std::string error;
-        const std::uint64_t digest =
-            fmt::contentDigest(loadText(texts[i], &error));
-        EXPECT_EQ(digest, serial[i].first) << "mutant " << i;
-        EXPECT_EQ(error, serial[i].second) << "mutant " << i;
-    }
+    setLogLevel(LogLevel::Warn);
+    loadAlike(fuzz::MutationDriver("csv", exportOf(8), 2022),
+              {{Truncate, 667},
+               {BitFlip, 667},
+               {Splice, 667},
+               {ByteReplace, 50},
+               {Garbage, 50}});
+    loadAlike(fuzz::MutationDriver("csv-2-rows", exportOf(2), 2),
+              {{EveryPrefix}});
+    loadAlike(fuzz::MutationDriver("csv-large", large, 2023),
+              {{Truncate, 1}, {BitFlip, 2}, {ByteReplace, 2}, {Splice, 1}});
     setLogLevel(level);
     setGlobalThreadCount(before);
 }
@@ -477,6 +507,36 @@ TEST(CsvLoader, WarningsKeepLineOrderAcrossReadWindows)
             ::testing::internal::GetCapturedStderr();
         EXPECT_EQ(loaded.size(), kept);
         EXPECT_EQ(warnings, expected);
+    }
+    setLogLevel(level);
+    setGlobalThreadCount(before);
+}
+
+TEST(CsvLoader, WarningsStopAfterTheFirst256)
+{
+    // A hostile file cannot flood the log: the first 256 skipped lines
+    // are warned about in line order, then one line counts the rest.
+    std::string text = csvHeader();
+    std::string expected;
+    for (std::size_t bad = 0; bad < 1000; ++bad) {
+        text += rowWith(2, "telnet") + '\n' + rowWith(0, "1") + '\n';
+        if (bad < 256)
+            expected += "[aiwc:warn] skipping CSV line " +
+                        std::to_string(2 + 2 * bad) +
+                        ": unknown interface 'telnet'\n";
+    }
+    expected += "[aiwc:warn] 744 more skipped CSV lines not shown\n";
+
+    const int before = globalThreadCount();
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Warn);
+    for (const int threads : {1, 8}) {
+        SCOPED_TRACE(threads);
+        setGlobalThreadCount(threads);
+        ::testing::internal::CaptureStderr();
+        const Dataset loaded = loadText(text);
+        EXPECT_EQ(::testing::internal::GetCapturedStderr(), expected);
+        EXPECT_EQ(loaded.size(), 1000u);
     }
     setLogLevel(level);
     setGlobalThreadCount(before);

@@ -19,6 +19,7 @@
 #include "aiwc/fmt/trace.hh"
 #include "aiwc/workload/trace_synthesizer.hh"
 
+#include "../common/mutation_driver.hh"
 #include "../core/record_builder.hh"
 
 namespace aiwc::fmt
@@ -182,15 +183,39 @@ TEST(TraceFormat, CsvParsedDatasetRoundTripsBitExactly)
     EXPECT_EQ(contentDigest(from_csv), contentDigest(loaded.dataset));
 }
 
+/**
+ * The decoder's contract on a mutant of the sample trace: a rejection
+ * carries no rows, a prefix or garbage never decodes, and an accepted
+ * mutant (a flip in alignment padding, or trailing bytes) decodes to
+ * the pristine content.
+ */
+void
+traceOracle(const fuzz::Mutant &m)
+{
+    static const std::uint64_t pristine =
+        contentDigest(decodeTrace(encodeTrace(sampleDataset())).dataset);
+    const TraceLoadResult r = decodeTrace(m.span());
+    if (!r.ok()) {
+        EXPECT_TRUE(r.dataset.empty());
+        return;
+    }
+    EXPECT_FALSE(m.prefix() || m.kind == fuzz::MutationKind::Garbage)
+        << "accepted a " << m.bytes.size() << "-byte mutant";
+    EXPECT_EQ(contentDigest(r.dataset), pristine)
+        << "mutant silently changed content";
+}
+
+fuzz::MutationDriver
+traceDriver(std::uint64_t seed)
+{
+    const auto trace = encodeTrace(sampleDataset());
+    return {"aiwt", {trace.begin(), trace.end()}, seed};
+}
+
 TEST(TraceFormat, EveryTruncationRejectsCleanly)
 {
-    const auto bytes = encodeTrace(sampleDataset());
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-        const TraceLoadResult r =
-            decodeTrace(std::span(bytes).first(len));
-        EXPECT_FALSE(r.ok()) << "accepted a " << len << "-byte prefix";
-        EXPECT_TRUE(r.dataset.empty());
-    }
+    using enum fuzz::MutationKind;
+    traceDriver(0x7a11).run({{EveryPrefix}, {Truncate, 200}}, traceOracle);
 }
 
 TEST(TraceFormat, BadMagicRejected)
@@ -279,6 +304,20 @@ TEST(TraceFormat, NonCanonicalUserTableRejected)
     EXPECT_EQ(decodeTrace(bytes).status, TraceStatus::Malformed);
 }
 
+TEST(TraceFormat, GpuCountAboveTheCeilingRejected)
+{
+    for (const std::uint32_t gpus :
+         {core::max_gpus_per_job, core::max_gpus_per_job + 1}) {
+        const core::Dataset one(
+            {gpuRecord(1, 500, 60.0, static_cast<int>(gpus))});
+        const TraceLoadResult r = decodeTrace(encodeTrace(one));
+        EXPECT_EQ(r.status, gpus <= core::max_gpus_per_job
+                                ? TraceStatus::Ok
+                                : TraceStatus::Malformed)
+            << gpus << " gpus";
+    }
+}
+
 TEST(TraceFormat, CorruptGpuSummaryStateRejected)
 {
     // A count==0 raw state with nonzero accumulators must not reach
@@ -296,39 +335,16 @@ TEST(TraceFormat, CorruptGpuSummaryStateRejected)
 
 TEST(TraceFormat, FuzzedBitFlipsNeverAbort)
 {
-    // Deterministic single-byte corruption sweep: every mutation must
-    // produce a verdict (mostly rejects; a flip in alignment padding
-    // legitimately decodes, in which case the content must be intact).
-    const auto pristine = encodeTrace(sampleDataset());
-    const std::uint64_t original_digest =
-        contentDigest(decodeTrace(pristine).dataset);
-    std::uint64_t rng = 0x5eed;
-    for (int iter = 0; iter < 400; ++iter) {
-        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-        auto bytes = pristine;
-        const std::size_t pos = (rng >> 16) % bytes.size();
-        bytes[pos] ^= static_cast<std::uint8_t>((rng >> 8) | 1);
-        const TraceLoadResult r = decodeTrace(bytes);
-        if (r.ok()) {
-            EXPECT_EQ(contentDigest(r.dataset), original_digest)
-                << "flip at " << pos << " silently changed content";
-        }
-    }
+    using enum fuzz::MutationKind;
+    traceDriver(0x5eed).run(
+        {{ByteReplace, 400}, {BitFlip, 400}, {Splice, 200}}, traceOracle);
 }
 
 TEST(TraceFormat, FuzzedRandomPrefixesNeverAbort)
 {
-    // Arbitrary garbage (not derived from a valid trace) must reject.
-    std::uint64_t rng = 0xbadc0de;
-    for (int iter = 0; iter < 200; ++iter) {
-        std::vector<std::uint8_t> garbage(iter * 7 % 512);
-        for (auto &b : garbage) {
-            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-            b = static_cast<std::uint8_t>(rng >> 32);
-        }
-        const TraceLoadResult r = decodeTrace(garbage);
-        EXPECT_FALSE(r.ok());
-    }
+    traceDriver(0xbadc0de)
+        .garbage(511)
+        .run({{fuzz::MutationKind::Garbage, 200}}, traceOracle);
 }
 
 TEST(TraceFormat, FileRoundTripThroughMmap)

@@ -11,8 +11,9 @@
 
 #include <string>
 
-#include "aiwc/common/rng.hh"
 #include "aiwc/scenario/scn_parser.hh"
+
+#include "../common/mutation_driver.hh"
 
 namespace aiwc::scenario
 {
@@ -158,63 +159,50 @@ TEST(ScnParser, UnreadableFileYieldsDiagnosticNotAbort)
     EXPECT_EQ(r.diagnostics[0].line, 0);
 }
 
-// Totality sweep 1: every prefix of a valid document must parse
-// without aborting — this is the truncation half of the hostile-input
-// acceptance criterion.
+/**
+ * The parser's totality contract, checked on every mutant: whatever
+ * the bytes, it returns within its machine, task and diagnostic caps,
+ * and every machine class it keeps is simulatable.
+ */
+void
+scnOracle(const fuzz::Mutant &m)
+{
+    const ScnParseResult r = parseScn(m.bytes);
+    EXPECT_LE(r.spec.machines.size(), 64u);
+    EXPECT_LE(r.spec.tasks.size(), 256u);
+    EXPECT_LE(r.diagnostics.size(), 257u);  // cap + suppression marker
+    for (const MachineClassSpec &machine : r.spec.machines) {
+        EXPECT_GE(machine.cores, 1);
+        EXPECT_GT(machine.mipsAt(0), 0.0);
+    }
+}
+
 TEST(ScnParserHostile, EveryTruncationParses)
 {
-    const std::string good(kGoodScn);
-    for (std::size_t cut = 0; cut <= good.size(); ++cut) {
-        const ScnParseResult r = parseScn(good.substr(0, cut));
-        // Any machines that did survive truncation are simulatable.
-        for (const MachineClassSpec &m : r.spec.machines) {
-            EXPECT_GE(m.cores, 1);
-            EXPECT_GT(m.mipsAt(0), 0.0);
-        }
-    }
+    using enum fuzz::MutationKind;
+    fuzz::MutationDriver("scn", kGoodScn, 0x7e11ab1eULL)
+        .run({{EveryPrefix}, {Truncate, 200}}, scnOracle);
 }
 
-// Totality sweep 2: deterministic garbage bytes. Bias toward the
-// grammar's alphabet so blocks actually open and keys actually match
-// half the time — pure noise would never reach the value parsers.
+// Bias garbage toward the grammar's alphabet so blocks actually open
+// and keys actually match; pure noise would never reach the value
+// parsers.
 TEST(ScnParserHostile, RandomGarbageNeverAborts)
 {
-    const char alphabet[] =
-        "machine clstk:{}[]\n\r\t #/,.:+-eE0123456789xyzNaninf";
-    Rng rng(0xdecafbadULL);
-    for (int doc = 0; doc < 200; ++doc) {
-        std::string text;
-        const std::size_t len = 1 + rng.below(600);
-        for (std::size_t i = 0; i < len; ++i) {
-            if (rng.chance(0.08)) {
-                // Raw binary bytes, including NUL.
-                text.push_back(static_cast<char>(rng.below(256)));
-            } else {
-                text.push_back(
-                    alphabet[rng.below(sizeof(alphabet) - 1)]);
-            }
-        }
-        const ScnParseResult r = parseScn(text);
-        EXPECT_LE(r.spec.machines.size(), 64u);
-        EXPECT_LE(r.spec.tasks.size(), 256u);
-    }
+    fuzz::MutationDriver("scn", kGoodScn, 0xdecafbadULL)
+        .garbage(600, "machine clstk:{}[]\n\r\t #/,.:+-eE"
+                      "0123456789xyzNaninf")
+        .run({{fuzz::MutationKind::Garbage, 200}}, scnOracle);
 }
 
-// Totality sweep 3: mutate the valid document in place — bit flips in
-// a structurally correct file hit deeper parser states than noise.
+// Mutations of a structurally correct file hit deeper parser states
+// than noise.
 TEST(ScnParserHostile, MutatedValidDocumentNeverAborts)
 {
-    const std::string good(kGoodScn);
-    Rng rng(0x5ca1ab1eULL);
-    for (int doc = 0; doc < 200; ++doc) {
-        std::string text = good;
-        const int mutations = 1 + static_cast<int>(rng.below(8));
-        for (int i = 0; i < mutations; ++i) {
-            const std::size_t at = rng.below(text.size());
-            text[at] = static_cast<char>(rng.below(256));
-        }
-        (void)parseScn(text);
-    }
+    using enum fuzz::MutationKind;
+    fuzz::MutationDriver("scn", kGoodScn, 0x5ca1ab1eULL)
+        .run({{ByteReplace, 200}, {BitFlip, 200}, {Splice, 200}},
+             scnOracle);
 }
 
 TEST(ScnParserHostile, DiagnosticFloodIsCapped)

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <random>
 #include <vector>
 
+#include "../common/mutation_driver.hh"
 #include "../core/record_builder.hh"
 
 #include "aiwc/common/binary.hh"
@@ -161,23 +161,41 @@ TEST(Frame, BackToBackFramesDecodeSequentially)
     EXPECT_EQ(first.consumed + rest.consumed, buffer.size());
 }
 
-TEST(Frame, TruncatedLengthPrefixNeedsMoreData)
+/**
+ * The decoder's contract on a mutant of an encoded sampleBatch(): it
+ * never consumes more than it was given, a strict prefix needs more
+ * data and consumes nothing, garbage never parses, and a mutant that
+ * does parse (only the tenant id lies outside the CRC) keeps every
+ * record.
+ */
+void
+frameOracle(const fuzz::Mutant &m)
 {
-    const auto frame = encodeJobBatch(9, sampleBatch());
-    // Every prefix shorter than the full header — including a cut
-    // through the length field itself — asks for more bytes and
-    // consumes nothing.
-    for (std::size_t len = 0; len < frame_header_bytes; ++len) {
-        const auto r = decodeFrame(
-            std::span<const std::uint8_t>(frame).first(len));
-        EXPECT_EQ(r.status, DecodeStatus::NeedMoreData) << len;
+    const DecodedFrame r = decodeFrame(m.span());
+    EXPECT_LE(r.consumed, m.bytes.size());
+    if (m.prefix()) {
+        EXPECT_EQ(r.status, DecodeStatus::NeedMoreData);
         EXPECT_EQ(r.consumed, 0u);
     }
-    // Full header but short payload: same verdict.
-    const auto r = decodeFrame(
-        std::span<const std::uint8_t>(frame).first(frame.size() - 1));
-    EXPECT_EQ(r.status, DecodeStatus::NeedMoreData);
-    EXPECT_EQ(r.consumed, 0u);
+    if (m.kind == fuzz::MutationKind::Garbage) {
+        EXPECT_FALSE(r.ok());
+    }
+    if (r.ok()) {
+        EXPECT_EQ(r.records.size(), sampleBatch().size());
+    }
+}
+
+fuzz::MutationDriver
+frameDriver(std::uint64_t seed)
+{
+    const auto frame = encodeJobBatch(9, sampleBatch());
+    return {"frame", {frame.begin(), frame.end()}, seed};
+}
+
+TEST(Frame, TruncatedLengthPrefixNeedsMoreData)
+{
+    using enum fuzz::MutationKind;
+    frameDriver(0x1e6).run({{EveryPrefix}, {Truncate, 200}}, frameOracle);
 }
 
 TEST(Frame, BadMagicConsumesNothing)
@@ -244,6 +262,19 @@ TEST(Frame, LyingRecordCountIsMalformed)
     EXPECT_EQ(r.consumed, frame.size());
 }
 
+TEST(Frame, GpuCountAboveTheCeilingIsMalformed)
+{
+    for (const std::uint32_t gpus :
+         {core::max_gpus_per_job, core::max_gpus_per_job + 1}) {
+        const std::vector<core::JobRecord> one = {
+            gpuRecord(1, 0, 600.0, static_cast<int>(gpus))};
+        EXPECT_EQ(decodeFrame(encodeJobBatch(9, one)).status,
+                  gpus <= core::max_gpus_per_job ? DecodeStatus::Ok
+                                                 : DecodeStatus::Malformed)
+            << gpus << " gpus";
+    }
+}
+
 TEST(Frame, NonFiniteTimeIsMalformedNotAnAbort)
 {
     const std::vector<core::JobRecord> one = {gpuRecord(1, 0, 600.0)};
@@ -273,41 +304,18 @@ TEST(Frame, InconsistentMomentsAreMalformedNotAnAbort)
 
 TEST(Frame, RandomGarbageNeverParsesAndNeverCrashes)
 {
-    std::mt19937 rng(0xA1FCu);
-    std::uniform_int_distribution<int> byte(0, 255);
-    std::uniform_int_distribution<std::size_t> size(0, 512);
-    for (int trial = 0; trial < 2000; ++trial) {
-        std::vector<std::uint8_t> junk(size(rng));
-        for (auto &b : junk)
-            b = static_cast<std::uint8_t>(byte(rng));
-        const auto r = decodeFrame(junk);
-        // Random bytes essentially never produce a valid magic+CRC;
-        // any verdict is acceptable except a successful parse.
-        EXPECT_FALSE(r.ok());
-        EXPECT_LE(r.consumed, junk.size());
-    }
+    frameDriver(0xA1FC).run({{fuzz::MutationKind::Garbage, 2000}},
+                            frameOracle);
 }
 
 TEST(Frame, TruncatedOrBitFlippedEncodingsNeverCrash)
 {
-    const auto frame = encodeJobBatch(3, sampleBatch());
-    std::mt19937 rng(0xBEEF);
-    std::uniform_int_distribution<std::size_t> pos(0, frame.size() - 1);
-    std::uniform_int_distribution<int> bit(0, 7);
-    for (int trial = 0; trial < 500; ++trial) {
-        auto mutant = frame;
-        mutant[pos(rng)] ^=
-            static_cast<std::uint8_t>(1u << bit(rng));
-        const auto r = decodeFrame(mutant);
-        EXPECT_LE(r.consumed, mutant.size());
-        if (r.ok()) {
-            // A flip the CRC cannot see lives in the header; the only
-            // header bits that may flip and still parse are none —
-            // magic/version/type/length/crc are all load-bearing. The
-            // tenant id, however, is not covered by the payload CRC.
-            EXPECT_EQ(r.records.size(), sampleBatch().size());
-        }
-    }
+    using enum fuzz::MutationKind;
+    frameDriver(0xBEEF).run({{Truncate, 500},
+                             {BitFlip, 500},
+                             {ByteReplace, 500},
+                             {Splice, 500}},
+                            frameOracle);
 }
 
 TEST(Frame, Crc32MatchesTheIeeeReferenceVector)
