@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -45,31 +44,15 @@ terminalFromString(std::string_view name)
 namespace
 {
 
-/** Column order of Dataset::writeCsv. */
-enum Column : std::size_t
+constexpr std::size_t kColumns = csv_columns.size();
+
+/** True for a column holding a measured number, not a name or an id. */
+constexpr bool
+numericColumn(std::size_t c)
 {
-    kJobId,
-    kUser,
-    kInterface,
-    kTerminal,
-    kSubmit,
-    kStart,
-    kEnd,
-    kGpus,
-    kCpuSlots,
-    kRamGb,
-    kSmMean,
-    kSmMax,
-    kMembwMean,
-    kMembwMax,
-    kMemsizeMean,
-    kMemsizeMax,
-    kPcieTxMean,
-    kPcieRxMean,
-    kPowerMeanW,
-    kPowerMaxW,
-    kColumns,
-};
+    return c != csvColumn("job_id") && c != csvColumn("user") &&
+           c != csvColumn("interface") && c != csvColumn("terminal");
+}
 
 /** Rebuild a metric summary from (mean, max); min defaults to 0. */
 stats::RunningSummary
@@ -130,48 +113,60 @@ parseId(std::string_view cell)
 std::string
 decodeRow(const Cells &cells, JobRecord &r)
 {
-    // Every cell from kSubmit on is a number; parse each once.
+    // Parse every numeric cell once.
     std::array<double, kColumns> v{};
-    for (std::size_t c = kSubmit; c < kColumns; ++c) {
+    for (std::size_t c = 0; c < kColumns; ++c) {
+        if (!numericColumn(c))
+            continue;
         v[c] = parseDouble(cells[c]);
         if (!std::isfinite(v[c]))
             return "non-finite value in column " + std::to_string(c + 1);
     }
-    const auto iface = interfaceFromString(cells[kInterface]);
+    const auto cell = [&cells](std::size_t c) {
+        return std::string(cells[c]);
+    };
+    const auto iface = interfaceFromString(cells[csvColumn("interface")]);
     if (!iface)
-        return "unknown interface '" + std::string(cells[kInterface]) + "'";
-    const auto terminal = terminalFromString(cells[kTerminal]);
+        return "unknown interface '" + cell(csvColumn("interface")) + "'";
+    const auto terminal = terminalFromString(cells[csvColumn("terminal")]);
     if (!terminal)
-        return "unknown terminal state '" + std::string(cells[kTerminal]) +
+        return "unknown terminal state '" + cell(csvColumn("terminal")) +
                "'";
-    if (v[kGpus] < 0.0 || v[kGpus] > max_gpus_per_job)
-        return "gpus out of range: " + std::string(cells[kGpus]);
-    if (v[kCpuSlots] < 0.0 ||
-        v[kCpuSlots] > std::numeric_limits<int>::max())
-        return "cpu_slots out of range: " + std::string(cells[kCpuSlots]);
+    // Range-check the doubles: casting an out-of-range one to int is UB.
+    const double gpus = v[csvColumn("gpus")];
+    if (gpus < 0.0 || gpus > max_gpus_per_job)
+        return "gpus out of range: " + cell(csvColumn("gpus"));
+    const double cpu_slots = v[csvColumn("cpu_slots")];
+    if (cpu_slots < 0.0 || cpu_slots > max_cpu_slots)
+        return "cpu_slots out of range: " + cell(csvColumn("cpu_slots"));
 
-    r.id = static_cast<JobId>(parseId(cells[kJobId]));
-    r.user = static_cast<UserId>(parseId(cells[kUser]));
+    r.id = static_cast<JobId>(parseId(cells[csvColumn("job_id")]));
+    r.user = static_cast<UserId>(parseId(cells[csvColumn("user")]));
     r.interface = *iface;
     r.terminal = *terminal;
-    r.submit_time = v[kSubmit];
-    r.start_time = v[kStart];
-    r.end_time = v[kEnd];
-    r.gpus = static_cast<int>(v[kGpus]);
-    r.cpu_slots = static_cast<int>(v[kCpuSlots]);
-    r.ram_gb = v[kRamGb];
+    r.submit_time = v[csvColumn("submit_s")];
+    r.start_time = v[csvColumn("start_s")];
+    r.end_time = v[csvColumn("end_s")];
+    r.gpus = static_cast<int>(gpus);
+    r.cpu_slots = static_cast<int>(cpu_slots);
+    r.ram_gb = v[csvColumn("ram_gb")];
 
     if (r.gpus > 0) {
         // The summary CSV carries the across-GPU average; fan it back
         // out so meanUtilization()/maxUtilization() agree with the
         // original values.
         GpuUsageSummary s;
-        s.sm = metric(v[kSmMean], v[kSmMax]);
-        s.membw = metric(v[kMembwMean], v[kMembwMax]);
-        s.memsize = metric(v[kMemsizeMean], v[kMemsizeMax]);
-        s.pcie_tx = metric(v[kPcieTxMean], v[kPcieTxMean]);
-        s.pcie_rx = metric(v[kPcieRxMean], v[kPcieRxMean]);
-        s.power_watts = metric(v[kPowerMeanW], v[kPowerMaxW]);
+        s.sm = metric(v[csvColumn("sm_mean")], v[csvColumn("sm_max")]);
+        s.membw =
+            metric(v[csvColumn("membw_mean")], v[csvColumn("membw_max")]);
+        s.memsize = metric(v[csvColumn("memsize_mean")],
+                           v[csvColumn("memsize_max")]);
+        s.pcie_tx = metric(v[csvColumn("pcie_tx_mean")],
+                           v[csvColumn("pcie_tx_mean")]);
+        s.pcie_rx = metric(v[csvColumn("pcie_rx_mean")],
+                           v[csvColumn("pcie_rx_mean")]);
+        s.power_watts = metric(v[csvColumn("power_mean_w")],
+                               v[csvColumn("power_max_w")]);
         r.per_gpu.assign(static_cast<std::size_t>(r.gpus), s);
     }
     return {};
@@ -302,9 +297,14 @@ checkHeader(std::string_view line)
     // spreadsheet exports prepend one.
     if (!header.empty() && header[0].rfind("\xef\xbb\xbf", 0) == 0)
         header[0].erase(0, 3);
-    if (header.size() != kColumns || header[0] != "job_id")
+    if (header.size() != kColumns)
         return "unrecognized dataset CSV header (" +
                std::to_string(header.size()) + " columns)";
+    for (std::size_t c = 0; c < kColumns; ++c)
+        if (header[c] != csv_columns[c])
+            return "unrecognized dataset CSV header (column " +
+                   std::to_string(c + 1) + " is '" + header[c] +
+                   "', expected '" + std::string(csv_columns[c]) + "')";
     return {};
 }
 

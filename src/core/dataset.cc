@@ -79,35 +79,36 @@ Dataset::totalGpuHours() const
 void
 Dataset::writeCsv(std::ostream &os) const
 {
-    CsvWriter csv(os, {"job_id", "user", "interface", "terminal",
-                       "submit_s", "start_s", "end_s", "gpus",
-                       "cpu_slots", "ram_gb", "sm_mean", "sm_max",
-                       "membw_mean", "membw_max", "memsize_mean",
-                       "memsize_max", "pcie_tx_mean", "pcie_rx_mean",
-                       "power_mean_w", "power_max_w"});
+    CsvWriter csv(os, {csv_columns.begin(), csv_columns.end()});
+    std::vector<std::string> row(csv_columns.size());
     for (const auto &r : records_) {
-        csv.writeRow({
-            formatNumber(r.id, 0),
-            formatNumber(r.user, 0),
-            toString(r.interface),
-            toString(r.terminal),
-            formatNumber(r.submit_time, 1),
-            formatNumber(r.start_time, 1),
-            formatNumber(r.end_time, 1),
-            formatNumber(r.gpus, 0),
-            formatNumber(r.cpu_slots, 0),
-            formatNumber(r.ram_gb, 1),
-            formatNumber(r.meanUtilization(Resource::Sm), 4),
-            formatNumber(r.maxUtilization(Resource::Sm), 4),
-            formatNumber(r.meanUtilization(Resource::MemoryBw), 4),
-            formatNumber(r.maxUtilization(Resource::MemoryBw), 4),
-            formatNumber(r.meanUtilization(Resource::MemorySize), 4),
-            formatNumber(r.maxUtilization(Resource::MemorySize), 4),
-            formatNumber(r.meanUtilization(Resource::PcieTx), 4),
-            formatNumber(r.meanUtilization(Resource::PcieRx), 4),
-            formatNumber(r.meanPowerWatts(), 1),
-            formatNumber(r.maxPowerWatts(), 1),
-        });
+        const auto mean = [&r](Resource res) {
+            return formatNumber(r.meanUtilization(res), 4);
+        };
+        const auto max = [&r](Resource res) {
+            return formatNumber(r.maxUtilization(res), 4);
+        };
+        row[csvColumn("job_id")] = formatNumber(r.id, 0);
+        row[csvColumn("user")] = formatNumber(r.user, 0);
+        row[csvColumn("interface")] = toString(r.interface);
+        row[csvColumn("terminal")] = toString(r.terminal);
+        row[csvColumn("submit_s")] = formatNumber(r.submit_time, 1);
+        row[csvColumn("start_s")] = formatNumber(r.start_time, 1);
+        row[csvColumn("end_s")] = formatNumber(r.end_time, 1);
+        row[csvColumn("gpus")] = formatNumber(r.gpus, 0);
+        row[csvColumn("cpu_slots")] = formatNumber(r.cpu_slots, 0);
+        row[csvColumn("ram_gb")] = formatNumber(r.ram_gb, 1);
+        row[csvColumn("sm_mean")] = mean(Resource::Sm);
+        row[csvColumn("sm_max")] = max(Resource::Sm);
+        row[csvColumn("membw_mean")] = mean(Resource::MemoryBw);
+        row[csvColumn("membw_max")] = max(Resource::MemoryBw);
+        row[csvColumn("memsize_mean")] = mean(Resource::MemorySize);
+        row[csvColumn("memsize_max")] = max(Resource::MemorySize);
+        row[csvColumn("pcie_tx_mean")] = mean(Resource::PcieTx);
+        row[csvColumn("pcie_rx_mean")] = mean(Resource::PcieRx);
+        row[csvColumn("power_mean_w")] = formatNumber(r.meanPowerWatts(), 1);
+        row[csvColumn("power_max_w")] = formatNumber(r.maxPowerWatts(), 1);
+        csv.writeRow(row);
     }
 }
 

@@ -81,6 +81,43 @@ namespace
 {
 
 void
+writeRawState(ByteWriter &w, const stats::RunningSummary &s)
+{
+    const stats::RunningSummary::RawState state = s.rawState();
+    w.u64(state.count);
+    w.f64(state.min);
+    w.f64(state.max);
+    w.f64(state.sum);
+    w.f64(state.sum_sq);
+}
+
+bool
+readRawState(ByteReader &r, stats::RunningSummary &out)
+{
+    stats::RunningSummary::RawState state;
+    state.count = static_cast<std::size_t>(r.u64());
+    state.min = r.f64();
+    state.max = r.f64();
+    state.sum = r.f64();
+    state.sum_sq = r.f64();
+    if (!r.ok())
+        return false;
+    if (state.count == 0) {
+        // An empty summary stores all-zero accumulators (NaN fails
+        // these comparisons, which is the point).
+        if (!(state.min == 0.0 && state.max == 0.0 &&
+              state.sum == 0.0 && state.sum_sq == 0.0))
+            return false;
+    } else if (!std::isfinite(state.min) || !std::isfinite(state.max) ||
+               !std::isfinite(state.sum) ||
+               !std::isfinite(state.sum_sq) || state.min > state.max) {
+        return false;
+    }
+    out = stats::RunningSummary::fromRawState(state);
+    return true;
+}
+
+void
 writeIntervals(ByteWriter &w, const std::vector<double> &intervals)
 {
     w.u32(static_cast<std::uint32_t>(intervals.size()));
@@ -104,6 +141,44 @@ readIntervals(ByteReader &r, std::vector<double> &out)
 }
 
 } // namespace
+
+void
+writeGpuSummary(ByteWriter &w, const GpuUsageSummary &gpu)
+{
+    for (int i = 0; i < num_resources; ++i)
+        writeRawState(w, gpu.byResource(static_cast<Resource>(i)));
+}
+
+bool
+readGpuSummary(ByteReader &r, GpuUsageSummary &out)
+{
+    for (int i = 0; i < num_resources; ++i)
+        if (!readRawState(r, out.byResource(static_cast<Resource>(i))))
+            return false;
+    return true;
+}
+
+const char *
+checkDecodedFields(const JobRecord &rec, std::uint8_t has_timeseries_byte,
+                   std::uint64_t gpu_blocks)
+{
+    if (static_cast<int>(rec.interface) >= num_interfaces ||
+        static_cast<int>(rec.terminal) >= num_terminal_states ||
+        static_cast<int>(rec.true_class) >= num_lifecycles ||
+        has_timeseries_byte > 1)
+        return "enum out of range";
+    if (!std::isfinite(rec.submit_time) || !std::isfinite(rec.start_time) ||
+        !std::isfinite(rec.end_time) || !std::isfinite(rec.walltime_limit) ||
+        !std::isfinite(rec.ram_gb))
+        return "non-finite time or ram_gb";
+    if (rec.gpus < 0 ||
+        static_cast<std::uint32_t>(rec.gpus) > max_gpus_per_job ||
+        gpu_blocks > max_gpus_per_job)
+        return "implausible gpu count";
+    if (rec.cpu_slots < 0)  // an int cannot exceed max_cpu_slots
+        return "cpu_slots out of range";
+    return nullptr;
+}
 
 void
 writePhaseStats(ByteWriter &w, const PhaseStats &phases)

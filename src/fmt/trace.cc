@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdio>
 
 #include "aiwc/base/check.hh"
@@ -45,11 +44,6 @@ constexpr std::size_t dir_entry_bytes = 24;
 constexpr std::size_t section_count = 18;
 constexpr std::size_t max_sections = 64;
 
-/** One RunningSummary raw state: count u64 + four f64 accumulators. */
-constexpr std::size_t raw_state_bytes = 8 + 4 * 8;
-/** Six summaries (Resource order) per flattened GPU. */
-constexpr std::size_t gpu_stats_bytes = 6 * raw_state_bytes;
-
 /** Sanity ceiling on rows, far above any real trace. */
 constexpr std::uint64_t max_rows = 1ull << 48;
 
@@ -75,48 +69,6 @@ enum SectionId : std::uint32_t
     sec_type_table = 18,
 };
 
-void
-writeRawState(ByteWriter &w, const stats::RunningSummary &s)
-{
-    const stats::RunningSummary::RawState state = s.rawState();
-    w.u64(state.count);
-    w.f64(state.min);
-    w.f64(state.max);
-    w.f64(state.sum);
-    w.f64(state.sum_sq);
-}
-
-/**
- * Read one raw accumulator state, validating everything fromRawState
- * AIWC_CHECKs — disk bytes must never reach a contract abort.
- * @return false on any violation.
- */
-bool
-readRawState(ByteReader &r, stats::RunningSummary &out)
-{
-    stats::RunningSummary::RawState state;
-    state.count = static_cast<std::size_t>(r.u64());
-    state.min = r.f64();
-    state.max = r.f64();
-    state.sum = r.f64();
-    state.sum_sq = r.f64();
-    if (!r.ok())
-        return false;
-    if (state.count == 0) {
-        // An empty summary stores all-zero accumulators (NaN fails
-        // these comparisons, which is the point).
-        if (!(state.min == 0.0 && state.max == 0.0 &&
-              state.sum == 0.0 && state.sum_sq == 0.0))
-            return false;
-    } else if (!std::isfinite(state.min) || !std::isfinite(state.max) ||
-               !std::isfinite(state.sum) ||
-               !std::isfinite(state.sum_sq) || state.min > state.max) {
-        return false;
-    }
-    out = stats::RunningSummary::fromRawState(state);
-    return true;
-}
-
 // --- encoding --------------------------------------------------------------
 
 struct Section
@@ -137,12 +89,14 @@ buildSections(const core::Dataset &dataset)
         sections.push_back({id, {}});
         return ByteWriter(sections.back().bytes);
     };
-
-    {
-        ByteWriter w = add(sec_job_id);
+    // One section written by `put(writer, record)` for every record.
+    auto column = [&](std::uint32_t id, auto put) {
+        ByteWriter w = add(id);
         for (const core::JobRecord &r : records)
-            w.u32(r.id);
-    }
+            put(w, r);
+    };
+
+    column(sec_job_id, [](auto &w, auto &r) { w.u32(r.id); });
     {
         ByteWriter w = add(sec_user_table);
         for (const std::uint32_t raw : cols.users().rawIds())
@@ -153,61 +107,29 @@ buildSections(const core::Dataset &dataset)
         for (const std::uint32_t v : cols.userIndex())
             w.u32(v);
     }
-    {
-        ByteWriter w = add(sec_interface);
-        for (const core::JobRecord &r : records)
-            w.u8(static_cast<std::uint8_t>(r.interface));
-    }
-    {
-        ByteWriter w = add(sec_terminal);
-        for (const core::JobRecord &r : records)
-            w.u8(static_cast<std::uint8_t>(r.terminal));
-    }
-    {
-        ByteWriter w = add(sec_true_class);
-        for (const core::JobRecord &r : records)
-            w.u8(static_cast<std::uint8_t>(r.true_class));
-    }
-    {
-        ByteWriter w = add(sec_has_ts);
-        for (const core::JobRecord &r : records)
-            w.u8(r.has_timeseries ? 1 : 0);
-    }
-    {
-        ByteWriter w = add(sec_submit);
-        for (const core::JobRecord &r : records)
-            w.f64(r.submit_time);
-    }
-    {
-        ByteWriter w = add(sec_start);
-        for (const core::JobRecord &r : records)
-            w.f64(r.start_time);
-    }
-    {
-        ByteWriter w = add(sec_end);
-        for (const core::JobRecord &r : records)
-            w.f64(r.end_time);
-    }
-    {
-        ByteWriter w = add(sec_walltime);
-        for (const core::JobRecord &r : records)
-            w.f64(r.walltime_limit);
-    }
-    {
-        ByteWriter w = add(sec_gpus);
-        for (const core::JobRecord &r : records)
-            w.u32(static_cast<std::uint32_t>(r.gpus));
-    }
-    {
-        ByteWriter w = add(sec_cpu_slots);
-        for (const core::JobRecord &r : records)
-            w.u32(static_cast<std::uint32_t>(r.cpu_slots));
-    }
-    {
-        ByteWriter w = add(sec_ram_gb);
-        for (const core::JobRecord &r : records)
-            w.f64(r.ram_gb);
-    }
+    column(sec_interface, [](auto &w, auto &r) {
+        w.u8(static_cast<std::uint8_t>(r.interface));
+    });
+    column(sec_terminal, [](auto &w, auto &r) {
+        w.u8(static_cast<std::uint8_t>(r.terminal));
+    });
+    column(sec_true_class, [](auto &w, auto &r) {
+        w.u8(static_cast<std::uint8_t>(r.true_class));
+    });
+    column(sec_has_ts, [](auto &w, auto &r) {
+        w.u8(r.has_timeseries ? 1 : 0);
+    });
+    column(sec_submit, [](auto &w, auto &r) { w.f64(r.submit_time); });
+    column(sec_start, [](auto &w, auto &r) { w.f64(r.start_time); });
+    column(sec_end, [](auto &w, auto &r) { w.f64(r.end_time); });
+    column(sec_walltime, [](auto &w, auto &r) { w.f64(r.walltime_limit); });
+    column(sec_gpus, [](auto &w, auto &r) {
+        w.u32(static_cast<std::uint32_t>(r.gpus));
+    });
+    column(sec_cpu_slots, [](auto &w, auto &r) {
+        w.u32(static_cast<std::uint32_t>(r.cpu_slots));
+    });
+    column(sec_ram_gb, [](auto &w, auto &r) { w.f64(r.ram_gb); });
     {
         ByteWriter w = add(sec_gpu_offsets);
         std::uint64_t off = 0;
@@ -217,27 +139,14 @@ buildSections(const core::Dataset &dataset)
             w.u64(off);
         }
     }
-    {
-        ByteWriter w = add(sec_gpu_stats);
-        for (const core::JobRecord &r : records) {
-            for (const core::GpuUsageSummary &gpu : r.per_gpu) {
-                writeRawState(w, gpu.sm);
-                writeRawState(w, gpu.membw);
-                writeRawState(w, gpu.memsize);
-                writeRawState(w, gpu.pcie_tx);
-                writeRawState(w, gpu.pcie_rx);
-                writeRawState(w, gpu.power_watts);
-            }
-        }
-    }
-    {
-        ByteWriter w = add(sec_phases);
-        for (const core::JobRecord &r : records) {
-            if (!r.has_timeseries)
-                continue;
+    column(sec_gpu_stats, [](auto &w, auto &r) {
+        for (const core::GpuUsageSummary &gpu : r.per_gpu)
+            core::writeGpuSummary(w, gpu);
+    });
+    column(sec_phases, [](auto &w, auto &r) {
+        if (r.has_timeseries)
             core::writePhaseStats(w, r.phases);
-        }
-    }
+    });
     {
         ByteWriter w = add(sec_type_table);
         for (const std::uint32_t raw : cols.jobTypes().rawIds())
@@ -426,13 +335,13 @@ decodeTrace(std::span<const std::uint8_t> bytes)
         return reject(TraceStatus::Malformed, "column length mismatch");
     if (secs[sec_user_table].bytes.size() % 4 != 0 ||
         secs[sec_type_table].bytes.size() % 4 != 0 ||
-        secs[sec_gpu_stats].bytes.size() % gpu_stats_bytes != 0)
+        secs[sec_gpu_stats].bytes.size() % core::gpu_summary_bytes != 0)
         return reject(TraceStatus::Malformed, "ragged table section");
 
     const std::size_t n_users = secs[sec_user_table].bytes.size() / 4;
     const std::size_t n_types = secs[sec_type_table].bytes.size() / 4;
     const std::uint64_t n_gpu_stats =
-        secs[sec_gpu_stats].bytes.size() / gpu_stats_bytes;
+        secs[sec_gpu_stats].bytes.size() / core::gpu_summary_bytes;
     if ((rows == 0 && (n_users != 0 || n_types != 0)) || n_users > rows ||
         n_types > rows)
         return reject(TraceStatus::Malformed, "oversized id table");
@@ -477,15 +386,16 @@ decodeTrace(std::span<const std::uint8_t> bytes)
         core::JobRecord rec;
         rec.id = job_id.u32();
         const std::uint32_t uidx = user_index.u32();
-        const std::uint8_t iface_v = iface.u8();
-        const std::uint8_t terminal_v = terminal.u8();
-        const std::uint8_t class_v = true_class.u8();
+        rec.interface = static_cast<Interface>(iface.u8());
+        rec.terminal = static_cast<TerminalState>(terminal.u8());
+        rec.true_class = static_cast<Lifecycle>(true_class.u8());
         const std::uint8_t ts_v = has_ts.u8();
+        rec.has_timeseries = ts_v == 1;
         rec.submit_time = submit.f64();
         rec.start_time = start.f64();
         rec.end_time = end.f64();
         rec.walltime_limit = walltime.f64();
-        const std::uint32_t gpus_v = gpus.u32();
+        rec.gpus = static_cast<int>(gpus.u32());
         rec.cpu_slots = static_cast<int>(cpu_slots.u32());
         rec.ram_gb = ram_gb.f64();
         const std::uint64_t gpu_end = gpu_offsets.u64();
@@ -494,38 +404,17 @@ decodeTrace(std::span<const std::uint8_t> bytes)
             return reject(TraceStatus::Malformed,
                           "user index out of table range");
         rec.user = user_table[uidx];
-        if (iface_v >= num_interfaces ||
-            terminal_v >= num_terminal_states ||
-            class_v >= num_lifecycles || ts_v > 1)
-            return reject(TraceStatus::Malformed, "enum out of range");
-        if (!std::isfinite(rec.submit_time) ||
-            !std::isfinite(rec.start_time) ||
-            !std::isfinite(rec.end_time) ||
-            !std::isfinite(rec.walltime_limit) ||
-            !std::isfinite(rec.ram_gb))
-            return reject(TraceStatus::Malformed, "non-finite time column");
-        if (gpus_v > core::max_gpus_per_job)
-            return reject(TraceStatus::Malformed, "implausible gpu count");
-        if (gpu_end < prev_off || gpu_end > n_gpu_stats ||
-            gpu_end - prev_off > core::max_gpus_per_job)
+        if (gpu_end < prev_off || gpu_end > n_gpu_stats)
             return reject(TraceStatus::Malformed, "bogus gpu_offsets");
-        rec.interface = static_cast<Interface>(iface_v);
-        rec.terminal = static_cast<TerminalState>(terminal_v);
-        rec.true_class = static_cast<Lifecycle>(class_v);
-        rec.has_timeseries = ts_v == 1;
-        rec.gpus = static_cast<int>(gpus_v);
+        if (const char *why =
+                core::checkDecodedFields(rec, ts_v, gpu_end - prev_off))
+            return reject(TraceStatus::Malformed, why);
 
         rec.per_gpu.resize(static_cast<std::size_t>(gpu_end - prev_off));
-        for (core::GpuUsageSummary &gpu : rec.per_gpu) {
-            if (!readRawState(gpu_stats, gpu.sm) ||
-                !readRawState(gpu_stats, gpu.membw) ||
-                !readRawState(gpu_stats, gpu.memsize) ||
-                !readRawState(gpu_stats, gpu.pcie_tx) ||
-                !readRawState(gpu_stats, gpu.pcie_rx) ||
-                !readRawState(gpu_stats, gpu.power_watts))
+        for (core::GpuUsageSummary &gpu : rec.per_gpu)
+            if (!core::readGpuSummary(gpu_stats, gpu))
                 return reject(TraceStatus::Malformed,
                               "invalid gpu summary state");
-        }
         prev_off = gpu_end;
 
         if (rec.has_timeseries) {

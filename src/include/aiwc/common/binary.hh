@@ -18,9 +18,12 @@
 
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -39,26 +42,9 @@ class ByteWriter
         out_.push_back(v);
     }
 
-    void
-    u16(std::uint16_t v)
-    {
-        out_.push_back(static_cast<std::uint8_t>(v));
-        out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    void u16(std::uint16_t v) { put<2>(v); }
+    void u32(std::uint32_t v) { put<4>(v); }
+    void u64(std::uint64_t v) { put<8>(v); }
 
     void
     f64(double v)
@@ -67,6 +53,28 @@ class ByteWriter
     }
 
   private:
+    /**
+     * Append the low `Bytes` bytes of `v`, least significant first, in
+     * one step: the same bytes on any host, with one capacity check
+     * instead of one per byte. Capacity doubles as push_back's does;
+     * growing to just the needed size instead gave each buffer a
+     * slightly different capacity and raised perfbench `ingest`'s peak
+     * RSS by 6% through heap fragmentation.
+     */
+    template <std::size_t Bytes>
+    void
+    put(std::uint64_t v)
+    {
+        std::array<std::uint8_t, Bytes> bytes;
+        for (std::size_t i = 0; i < Bytes; ++i)
+            bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        const std::size_t at = out_.size();
+        if (out_.capacity() - at < Bytes)
+            out_.reserve(std::max(2 * out_.capacity(), at + Bytes));
+        out_.resize(at + Bytes);
+        std::memcpy(out_.data() + at, bytes.data(), Bytes);
+    }
+
     std::vector<std::uint8_t> &out_;
 };
 

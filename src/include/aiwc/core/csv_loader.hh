@@ -22,6 +22,10 @@
  *    std::from_chars when that consumes the whole non-empty cell, and
  *    otherwise with std::strtod (std::strtoul for the job and user ids)
  *    of the cell, so every kept value is bit-equal to strtod's.
+ *  - The header must be csv_columns, compared name by name after a
+ *    UTF-8 byte-order mark is stripped, and each cell is read by its
+ *    csvColumn() index; a file with renamed or reordered columns is
+ *    refused rather than loaded into the wrong fields.
  *  - The loader is total: a missing or unrecognized header is reported,
  *    not fatal, and a bad data row is skipped with a warning naming its
  *    line. Warnings come out in line order whatever the thread count;
@@ -51,7 +55,7 @@ inline constexpr std::size_t csv_read_window = std::size_t{1} << 20;
  * leaves `*error` empty. Skips, with a warning, every data row that
  * cannot be a job record: a wrong cell count, a non-finite number, an
  * unknown interface or terminal name, or a gpus count outside
- * [0, max_gpus_per_job] or cpu_slots outside [0, INT_MAX].
+ * [0, max_gpus_per_job] or cpu_slots outside [0, max_cpu_slots].
  */
 Dataset loadDatasetCsv(std::istream &is, std::string *error = nullptr);
 

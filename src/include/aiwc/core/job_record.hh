@@ -7,11 +7,21 @@
  * profiles (GPU-side min/mean/max per metric). A JobRecord is exactly
  * that merged row, plus the optional detailed phase statistics that the
  * 100 ms time-series subset provides for ~2149 jobs.
+ *
+ * Every decision about how a JobRecord is written down lives here,
+ * once: the per-GPU summary and phase blocks and the field check that
+ * `.aiwt` and the svc wire frames share, the bounds every reader
+ * enforces, and the CSV column list.
  */
 
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <string_view>
 #include <vector>
 
 #include "aiwc/common/binary.hh"
@@ -26,6 +36,9 @@ namespace aiwc::core
  * readers reject a job above it (the study tops out at 16).
  */
 inline constexpr std::uint32_t max_gpus_per_job = 1024;
+
+/** Largest cpu_slots one job may claim; every reader rejects more. */
+inline constexpr int max_cpu_slots = std::numeric_limits<int>::max();
 
 /** Per-GPU min/mean/max summaries of every monitored metric. */
 struct GpuUsageSummary
@@ -44,6 +57,25 @@ struct GpuUsageSummary
     /** True when the GPU never did meaningful work (idle GPU, Sec. V). */
     bool idle(double sm_threshold = 0.01) const;
 };
+
+/**
+ * Bytes of the per-GPU block that `.aiwt` and the wire frames share:
+ * the six RunningSummary raw states in Resource order, each a u64
+ * count then f64 min, max, sum and sum_sq. Raw accumulators rather
+ * than derived moments, so a summary crosses either format bit for bit.
+ */
+inline constexpr std::size_t gpu_summary_bytes = num_resources * (8 + 4 * 8);
+
+/** Append `gpu` as one gpu_summary_bytes block. */
+void writeGpuSummary(ByteWriter &w, const GpuUsageSummary &gpu);
+
+/**
+ * Read one writeGpuSummary block into `out`. Total: false when it is
+ * truncated or holds a state RunningSummary::fromRawState would abort
+ * on (count 0 with a nonzero accumulator, a non-finite accumulator,
+ * or min > max).
+ */
+bool readGpuSummary(ByteReader &r, GpuUsageSummary &out);
 
 /**
  * Detailed phase statistics derived from the 100 ms time series;
@@ -128,6 +160,43 @@ struct JobRecord
     /** Number of this job's GPUs that stayed idle throughout. */
     int idleGpuCount(double sm_threshold = 0.01) const;
 };
+
+/**
+ * The field check of a record that `.aiwt` or a wire frame decoded,
+ * run before its per-GPU blocks are read. It rejects what would later
+ * surface as a contract abort or a poisoned sketch: an enum out of
+ * range, a `has_timeseries_byte` other than 0 or 1, a non-finite time
+ * or ram_gb, gpus or `gpu_blocks` (the per-GPU blocks the record
+ * declares) outside [0, max_gpus_per_job], and cpu_slots outside
+ * [0, max_cpu_slots]. Decoders store the u32 counts with a plain cast
+ * to int, so a count above INT_MAX arrives negative.
+ * @return nullptr when the fields can be a job, else why not.
+ */
+const char *checkDecodedFields(const JobRecord &rec,
+                               std::uint8_t has_timeseries_byte,
+                               std::uint64_t gpu_blocks);
+
+/**
+ * The columns of the dataset CSV, in order. Dataset::writeCsv writes
+ * this header and places each cell by csvColumn(); loadDatasetCsv
+ * requires exactly these names and reads each cell by csvColumn().
+ */
+inline constexpr std::array<std::string_view, 20> csv_columns = {
+    "job_id",       "user",         "interface",    "terminal",
+    "submit_s",     "start_s",      "end_s",        "gpus",
+    "cpu_slots",    "ram_gb",       "sm_mean",      "sm_max",
+    "membw_mean",   "membw_max",    "memsize_mean", "memsize_max",
+    "pcie_tx_mean", "pcie_rx_mean", "power_mean_w", "power_max_w"};
+
+/** Index of `name` in csv_columns; any other name does not compile. */
+consteval std::size_t
+csvColumn(std::string_view name)
+{
+    const auto it = std::find(csv_columns.begin(), csv_columns.end(), name);
+    if (it == csv_columns.end())
+        throw "not a dataset CSV column";
+    return static_cast<std::size_t>(it - csv_columns.begin());
+}
 
 } // namespace aiwc::core
 

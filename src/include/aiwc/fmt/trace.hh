@@ -43,11 +43,13 @@
  *   17 phases      stream          18 type_table  u32[types]
  *
  * gpu_stats holds, per flattened GPU (rows' GPUs concatenated in row
- * order), six RunningSummary raw states of (count u64, min f64,
- * max f64, sum f64, sum_sq f64) in Resource order. phases holds, for
- * each has_ts row in row order: active_fraction f64, three CoV f64,
+ * order), one core::writeGpuSummary block: six RunningSummary raw
+ * states of (count u64, min f64, max f64, sum f64, sum_sq f64) in
+ * Resource order. phases holds, for each has_ts row in row order, one
+ * core::writePhaseStats block: active_fraction f64, three CoV f64,
  * then the active and idle interval lists each as (count u32,
- * f64 x count). Unknown section ids are ignored (forward compat);
+ * f64 x count). Both blocks, and core::checkDecodedFields on each
+ * row's scalars, are shared with the svc wire frames. Unknown section ids are ignored (forward compat);
  * breaking changes bump the version.
  */
 

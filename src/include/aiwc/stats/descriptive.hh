@@ -77,10 +77,11 @@ class RunningSummary
   public:
     /**
      * The raw accumulator state, exposed for bit-exact
-     * (de)serialization: the binary trace format (aiwc/fmt) stores
-     * these five values verbatim so a summary loaded from disk is
-     * indistinguishable — to the last ULP of mean() and stddev() —
-     * from the one that was written, whatever its provenance
+     * (de)serialization: both binary formats (`.aiwt` and the svc
+     * wire frames, through core::writeGpuSummary) store these five
+     * values verbatim, so a summary read back is indistinguishable —
+     * to the last ULP of mean() and stddev() — from the one that was
+     * written, whatever its provenance
      * (sample-accumulated or moment-reconstructed).
      */
     struct RawState
@@ -99,18 +100,17 @@ class RunningSummary
      * Rebuild a summary from a rawState() snapshot. The state must be
      * internally consistent (AIWC_CHECK: finite fields, min <= max
      * when count > 0); untrusted bytes must be validated by the
-     * caller before reaching this — see fmt's reader.
+     * caller before reaching this — see core::readGpuSummary.
      */
     static RunningSummary fromRawState(const RawState &state);
 
     /**
-     * Reconstruct a summary from already-computed moments — used when
-     * loading a dataset from CSV, where only the per-job statistics
-     * (not the samples) survive.
+     * Reconstruct a summary of zero spread from already-computed
+     * moments — used when loading a dataset from CSV, where only the
+     * per-job statistics (not the samples or their spread) survive.
      */
     static RunningSummary fromMoments(std::size_t count, double min,
-                                      double mean, double max,
-                                      double stddev = 0.0);
+                                      double mean, double max);
 
     /** Fold one sample into the summary. */
     void add(double x);

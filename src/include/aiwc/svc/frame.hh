@@ -21,8 +21,12 @@
  *       24     n  payload
  *
  * A JobBatch payload is a u32 record count followed by that many
- * serialized JobRecords (fixed scalar fields, then the per-GPU
- * summaries as reconstructable moments, then optional phase stats).
+ * serialized JobRecords: the fixed scalar fields, a u16 per-GPU count,
+ * that many core::writeGpuSummary blocks (raw accumulators, so records
+ * cross the wire bit for bit), then core::writePhaseStats when the
+ * record has a time series. core::checkDecodedFields vets the scalars
+ * before any per-GPU block is read. Version 1 sent each summary as
+ * lossy (count, min, mean, max, stddev) moments in the same 40 bytes.
  */
 
 #pragma once
@@ -41,7 +45,7 @@ namespace aiwc::svc
 inline constexpr std::uint32_t frame_magic = 0x43574941u;
 
 /** Current wire version; bump on any layout change. */
-inline constexpr std::uint16_t frame_version = 1;
+inline constexpr std::uint16_t frame_version = 2;
 
 /** Fixed header size in bytes. */
 inline constexpr std::size_t frame_header_bytes = 24;

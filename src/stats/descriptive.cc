@@ -142,7 +142,7 @@ RunningSummary::fromRawState(const RawState &state)
 
 RunningSummary
 RunningSummary::fromMoments(std::size_t count, double min, double mean,
-                            double max, double stddev)
+                            double max)
 {
     AIWC_CHECK(min <= mean && mean <= max,
                 "inconsistent moments: min ", min, " mean ", mean,
@@ -154,8 +154,7 @@ RunningSummary::fromMoments(std::size_t count, double min, double mean,
     s.min_ = min;
     s.max_ = max;
     s.sum_ = mean * static_cast<double>(count);
-    s.sum_sq_ = static_cast<double>(count) *
-                (stddev * stddev + mean * mean);
+    s.sum_sq_ = static_cast<double>(count) * (mean * mean);
     return s;
 }
 

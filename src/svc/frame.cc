@@ -1,7 +1,5 @@
 #include "aiwc/svc/frame.hh"
 
-#include <cmath>
-
 #include "aiwc/base/check.hh"
 #include "aiwc/common/binary.hh"
 #include "aiwc/obs/metrics.hh"
@@ -40,44 +38,6 @@ decodeRejectsCounter()
 constexpr std::size_t min_record_bytes =
     4 + 4 + 4 * 1 + 4 * 8 + 4 + 4 + 8 + 2;
 
-/** Per-GPU summaries are six metrics of five doubles-or-counts. */
-constexpr std::size_t gpu_summary_bytes = 6 * (8 + 4 * 8);
-
-void
-writeSummary(ByteWriter &w, const stats::RunningSummary &s)
-{
-    w.u64(s.count());
-    w.f64(s.min());
-    w.f64(s.mean());
-    w.f64(s.max());
-    w.f64(s.stddev());
-}
-
-/**
- * Read one RunningSummary worth of moments, validating everything
- * fromMoments AIWC_CHECKs — wire bytes must never reach a contract
- * abort. @return false on any violation.
- */
-bool
-readSummary(ByteReader &r, stats::RunningSummary &out)
-{
-    const std::uint64_t count = r.u64();
-    const double min = r.f64();
-    const double mean = r.f64();
-    const double max = r.f64();
-    const double stddev = r.f64();
-    if (!r.ok())
-        return false;
-    if (!std::isfinite(min) || !std::isfinite(mean) ||
-        !std::isfinite(max) || !std::isfinite(stddev))
-        return false;
-    if (!(min <= mean && mean <= max) || stddev < 0.0)
-        return false;
-    out = stats::RunningSummary::fromMoments(
-        static_cast<std::size_t>(count), min, mean, max, stddev);
-    return true;
-}
-
 void
 writeRecord(ByteWriter &w, const core::JobRecord &rec)
 {
@@ -95,14 +55,8 @@ writeRecord(ByteWriter &w, const core::JobRecord &rec)
     w.u32(static_cast<std::uint32_t>(rec.cpu_slots));
     w.f64(rec.ram_gb);
     w.u16(static_cast<std::uint16_t>(rec.per_gpu.size()));
-    for (const core::GpuUsageSummary &gpu : rec.per_gpu) {
-        writeSummary(w, gpu.sm);
-        writeSummary(w, gpu.membw);
-        writeSummary(w, gpu.memsize);
-        writeSummary(w, gpu.pcie_tx);
-        writeSummary(w, gpu.pcie_rx);
-        writeSummary(w, gpu.power_watts);
-    }
+    for (const core::GpuUsageSummary &gpu : rec.per_gpu)
+        core::writeGpuSummary(w, gpu);
     if (rec.has_timeseries)
         core::writePhaseStats(w, rec.phases);
 }
@@ -112,50 +66,26 @@ readRecord(ByteReader &r, core::JobRecord &rec)
 {
     rec.id = r.u32();
     rec.user = r.u32();
-    const std::uint8_t interface = r.u8();
-    const std::uint8_t terminal = r.u8();
-    const std::uint8_t true_class = r.u8();
+    rec.interface = static_cast<Interface>(r.u8());
+    rec.terminal = static_cast<TerminalState>(r.u8());
+    rec.true_class = static_cast<Lifecycle>(r.u8());
     const std::uint8_t has_timeseries = r.u8();
+    rec.has_timeseries = has_timeseries == 1;
     rec.submit_time = r.f64();
     rec.start_time = r.f64();
     rec.end_time = r.f64();
     rec.walltime_limit = r.f64();
-    const std::uint32_t gpus = r.u32();
-    const std::uint32_t cpu_slots = r.u32();
+    rec.gpus = static_cast<int>(r.u32());
+    rec.cpu_slots = static_cast<int>(r.u32());
     rec.ram_gb = r.f64();
     const std::uint16_t gpu_count = r.u16();
-    if (!r.ok())
+    if (!r.ok() ||
+        core::checkDecodedFields(rec, has_timeseries, gpu_count) != nullptr)
         return false;
-    // Enum-range and numeric sanity: every rejected condition here
-    // would otherwise surface later as a contract abort or a poisoned
-    // sketch (the KLL rejects NaN samples with a DCHECK).
-    if (interface >= num_interfaces || terminal >= num_terminal_states ||
-        true_class >= num_lifecycles || has_timeseries > 1)
-        return false;
-    if (!std::isfinite(rec.submit_time) ||
-        !std::isfinite(rec.start_time) ||
-        !std::isfinite(rec.end_time) ||
-        !std::isfinite(rec.walltime_limit) || !std::isfinite(rec.ram_gb))
-        return false;
-    if (gpu_count > core::max_gpus_per_job || gpus > core::max_gpus_per_job)
-        return false;
-    if (r.remaining() < gpu_count * gpu_summary_bytes)
-        return false;
-    rec.interface = static_cast<Interface>(interface);
-    rec.terminal = static_cast<TerminalState>(terminal);
-    rec.true_class = static_cast<Lifecycle>(true_class);
-    rec.has_timeseries = has_timeseries == 1;
-    rec.gpus = static_cast<int>(gpus);
-    rec.cpu_slots = static_cast<int>(cpu_slots);
     rec.per_gpu.resize(gpu_count);
-    for (core::GpuUsageSummary &gpu : rec.per_gpu) {
-        if (!readSummary(r, gpu.sm) || !readSummary(r, gpu.membw) ||
-            !readSummary(r, gpu.memsize) ||
-            !readSummary(r, gpu.pcie_tx) ||
-            !readSummary(r, gpu.pcie_rx) ||
-            !readSummary(r, gpu.power_watts))
+    for (core::GpuUsageSummary &gpu : rec.per_gpu)
+        if (!core::readGpuSummary(r, gpu))
             return false;
-    }
     if (rec.has_timeseries && core::readPhaseStats(r, rec.phases) != nullptr)
         return false;
     return r.ok();
@@ -268,10 +198,7 @@ decodeFrame(std::span<const std::uint8_t> buffer)
 
     ByteReader r(payload);
     const std::uint32_t count = r.u32();
-    if (!r.ok() ||
-        count > payload.size() / (min_record_bytes > 0
-                                      ? min_record_bytes
-                                      : 1) + 1)
+    if (!r.ok() || count > payload.size() / min_record_bytes + 1)
         return reject(DecodeStatus::Malformed, total);
 
     DecodedFrame frame;

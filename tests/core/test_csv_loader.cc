@@ -278,10 +278,32 @@ TEST(CsvLoader, MissingOrForeignHeaderIsAnErrorNotAnAbort)
     EXPECT_EQ(error, "unrecognized dataset CSV header (2 columns)");
     EXPECT_TRUE(loadText("\n", &error).empty());
     EXPECT_EQ(error, "unrecognized dataset CSV header (1 columns)");
+    // Every name is compared: a right-sized header with two names
+    // swapped, or one renamed, would load cells into the wrong fields.
+    const auto replaced = [](std::string text, const std::string &from,
+                             const std::string &to) {
+        return text.replace(text.find(from), from.size(), to);
+    };
+    const std::string row = rowWith(0, "1") + '\n';
+    EXPECT_TRUE(
+        loadText(replaced(csvHeader(), "sm_mean,sm_max", "sm_max,sm_mean") +
+                     row,
+                 &error)
+            .empty());
+    EXPECT_EQ(error, "unrecognized dataset CSV header (column 11 is "
+                     "'sm_max', expected 'sm_mean')");
+    EXPECT_TRUE(
+        loadText(replaced(csvHeader(), "ram_gb", "ram_mb") + row, &error)
+            .empty());
+    EXPECT_EQ(error, "unrecognized dataset CSV header (column 10 is "
+                     "'ram_mb', expected 'ram_gb')");
     setLogLevel(level);
 
-    // A good header clears an earlier error.
+    // A good header clears an earlier error, with or without a BOM.
     EXPECT_EQ(loadText(csvHeader() + rowWith(0, "1"), &error).size(), 1u);
+    EXPECT_EQ(error, "");
+    EXPECT_EQ(loadText("\xef\xbb\xbf" + csvHeader() + row, &error).size(),
+              1u);
     EXPECT_EQ(error, "");
 }
 

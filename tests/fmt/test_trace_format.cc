@@ -316,6 +316,16 @@ TEST(TraceFormat, GpuCountAboveTheCeilingRejected)
                                 : TraceStatus::Malformed)
             << gpus << " gpus";
     }
+    // cpu_slots is stored as a u32; above INT_MAX it is no slot count.
+    for (const std::uint32_t slots :
+         {0x7fffffffu, 0x80000000u, 0xffffffffu}) {
+        auto bytes = encodeTrace(sampleDataset());
+        patchSection(bytes, 13 /* cpu_slots */, 0, u32Bytes(slots));
+        EXPECT_EQ(decodeTrace(bytes).status, slots <= 0x7fffffffu
+                                                 ? TraceStatus::Ok
+                                                 : TraceStatus::Malformed)
+            << slots << " cpu_slots";
+    }
 }
 
 TEST(TraceFormat, CorruptGpuSummaryStateRejected)

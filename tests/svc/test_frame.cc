@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -10,6 +9,7 @@
 #include "../core/record_builder.hh"
 
 #include "aiwc/common/binary.hh"
+#include "aiwc/fmt/trace.hh"
 #include "aiwc/svc/frame.hh"
 
 namespace aiwc::svc
@@ -38,21 +38,28 @@ patchU32(std::vector<std::uint8_t> &frame, std::size_t offset,
 }
 
 /**
- * Overwrite a payload double (offset relative to the payload start)
- * and re-seal the CRC so the corruption reaches the structural
- * validator instead of being caught by the checksum.
+ * Overwrite a payload u64 (offset relative to the payload start) and
+ * re-seal the CRC so the corruption reaches the structural validator
+ * instead of being caught by the checksum.
  */
+void
+patchPayloadU64(std::vector<std::uint8_t> &frame,
+                std::size_t payload_offset, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i)
+        frame[frame_header_bytes + payload_offset + i] =
+            static_cast<std::uint8_t>(value >> (8 * i));
+    const auto payload =
+        std::span<const std::uint8_t>(frame).subspan(frame_header_bytes);
+    patchU32(frame, 20, crc32(payload));
+}
+
 void
 patchPayloadF64(std::vector<std::uint8_t> &frame,
                 std::size_t payload_offset, double value)
 {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
-    for (int i = 0; i < 8; ++i)
-        frame[frame_header_bytes + payload_offset + i] =
-            static_cast<std::uint8_t>(bits >> (8 * i));
-    const auto payload =
-        std::span<const std::uint8_t>(frame).subspan(frame_header_bytes);
-    patchU32(frame, 20, crc32(payload));
+    patchPayloadU64(frame, payload_offset,
+                    std::bit_cast<std::uint64_t>(value));
 }
 
 std::vector<core::JobRecord>
@@ -77,19 +84,11 @@ sampleBatch()
     return records;
 }
 
-void
-expectSummaryEq(const stats::RunningSummary &a,
-                const stats::RunningSummary &b)
-{
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_DOUBLE_EQ(a.min(), b.min());
-    EXPECT_DOUBLE_EQ(a.mean(), b.mean());
-    EXPECT_DOUBLE_EQ(a.max(), b.max());
-    EXPECT_NEAR(a.stddev(), b.stddev(), 1e-9);
-}
-
 TEST(Frame, RoundTripPreservesEveryField)
 {
+    // contentDigest hashes every field of every record bit for bit
+    // (all six per-GPU summaries as raw accumulators, the NaN CoV
+    // included), so equal digests mean the batch crossed unchanged.
     const auto records = sampleBatch();
     const auto frame = encodeJobBatch(77, records);
     const auto decoded = decodeFrame(frame);
@@ -97,43 +96,8 @@ TEST(Frame, RoundTripPreservesEveryField)
     EXPECT_EQ(decoded.tenant, 77u);
     EXPECT_EQ(decoded.consumed, frame.size());
     ASSERT_EQ(decoded.records.size(), records.size());
-
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const core::JobRecord &in = records[i];
-        const core::JobRecord &out = decoded.records[i];
-        EXPECT_EQ(out.id, in.id);
-        EXPECT_EQ(out.user, in.user);
-        EXPECT_EQ(out.interface, in.interface);
-        EXPECT_EQ(out.terminal, in.terminal);
-        EXPECT_EQ(out.true_class, in.true_class);
-        EXPECT_DOUBLE_EQ(out.submit_time, in.submit_time);
-        EXPECT_DOUBLE_EQ(out.start_time, in.start_time);
-        EXPECT_DOUBLE_EQ(out.end_time, in.end_time);
-        EXPECT_DOUBLE_EQ(out.walltime_limit, in.walltime_limit);
-        EXPECT_EQ(out.gpus, in.gpus);
-        EXPECT_EQ(out.cpu_slots, in.cpu_slots);
-        EXPECT_DOUBLE_EQ(out.ram_gb, in.ram_gb);
-        ASSERT_EQ(out.per_gpu.size(), in.per_gpu.size());
-        for (std::size_t g = 0; g < in.per_gpu.size(); ++g) {
-            expectSummaryEq(out.per_gpu[g].sm, in.per_gpu[g].sm);
-            expectSummaryEq(out.per_gpu[g].membw, in.per_gpu[g].membw);
-            expectSummaryEq(out.per_gpu[g].power_watts,
-                            in.per_gpu[g].power_watts);
-        }
-        ASSERT_EQ(out.has_timeseries, in.has_timeseries);
-        if (in.has_timeseries) {
-            EXPECT_DOUBLE_EQ(out.phases.active_fraction,
-                             in.phases.active_fraction);
-            EXPECT_EQ(out.phases.active_intervals,
-                      in.phases.active_intervals);
-            EXPECT_EQ(out.phases.idle_intervals,
-                      in.phases.idle_intervals);
-            EXPECT_DOUBLE_EQ(out.phases.active_sm_cov,
-                             in.phases.active_sm_cov);
-            // NaN CoV (the zero-mean convention) must survive the trip.
-            EXPECT_TRUE(std::isnan(out.phases.active_membw_cov));
-        }
-    }
+    EXPECT_EQ(fmt::contentDigest(core::Dataset(decoded.records)),
+              fmt::contentDigest(core::Dataset(records)));
 }
 
 TEST(Frame, RoundTripEmptyBatch)
@@ -210,12 +174,16 @@ TEST(Frame, BadMagicConsumesNothing)
 
 TEST(Frame, VersionSkewRejectsTheWholeFrame)
 {
-    auto frame = encodeJobBatch(9, sampleBatch());
-    patchU16(frame, 4, frame_version + 1);
-    const auto r = decodeFrame(frame);
-    EXPECT_EQ(r.status, DecodeStatus::VersionSkew);
-    // A well-formed frame from another version can be skipped whole.
-    EXPECT_EQ(r.consumed, frame.size());
+    // Version 1 carried lossy moments where version 2 carries raw
+    // accumulators in the same bytes; neither may pass for the other.
+    for (const int version : {frame_version - 1, frame_version + 1}) {
+        auto frame = encodeJobBatch(9, sampleBatch());
+        patchU16(frame, 4, static_cast<std::uint16_t>(version));
+        const auto r = decodeFrame(frame);
+        EXPECT_EQ(r.status, DecodeStatus::VersionSkew) << version;
+        // A well-formed frame from another version is skipped whole.
+        EXPECT_EQ(r.consumed, frame.size());
+    }
 }
 
 TEST(Frame, UnknownFrameTypeRejects)
@@ -273,6 +241,16 @@ TEST(Frame, GpuCountAboveTheCeilingIsMalformed)
                                                  : DecodeStatus::Malformed)
             << gpus << " gpus";
     }
+    // cpu_slots travels as a u32; above INT_MAX it is no slot count.
+    for (const std::uint32_t slots :
+         {0x7fffffffu, 0x80000000u, 0xffffffffu}) {
+        std::vector<core::JobRecord> one = {gpuRecord(1, 0, 600.0)};
+        one[0].cpu_slots = static_cast<int>(slots);
+        EXPECT_EQ(decodeFrame(encodeJobBatch(9, one)).status,
+                  slots <= 0x7fffffffu ? DecodeStatus::Ok
+                                       : DecodeStatus::Malformed)
+            << slots << " cpu_slots";
+    }
 }
 
 TEST(Frame, NonFiniteTimeIsMalformedNotAnAbort)
@@ -289,17 +267,22 @@ TEST(Frame, NonFiniteTimeIsMalformedNotAnAbort)
 
 TEST(Frame, InconsistentMomentsAreMalformedNotAnAbort)
 {
+    // The first per-GPU raw state starts after the record count (4)
+    // and the record's fixed 62-byte prefix: u64 count, then f64 min,
+    // max, sum and sum_sq. A state RunningSummary::fromRawState would
+    // abort on must be rejected before it gets there.
+    constexpr std::size_t sm_state = 4 + 62;
     const std::vector<core::JobRecord> one = {gpuRecord(1, 0, 600.0)};
-    auto frame = encodeJobBatch(9, one);
-    // First per-GPU summary starts after count (4) + the record's
-    // fixed 62-byte prefix; its mean is the second double after the
-    // u64 sample count. mean > max must be rejected *before* it can
-    // reach RunningSummary::fromMoments, whose contract check would
-    // abort the daemon.
-    const std::size_t sm_mean_offset = 4 + 62 + 8 + 8;
-    patchPayloadF64(frame, sm_mean_offset, 1.0e12);
-    const auto r = decodeFrame(frame);
-    EXPECT_EQ(r.status, DecodeStatus::Malformed);
+    const auto pristine = encodeJobBatch(9, one);
+
+    auto empty_but_nonzero = pristine;  // count 0, accumulators kept
+    patchPayloadU64(empty_but_nonzero, sm_state, 0);
+    EXPECT_EQ(decodeFrame(empty_but_nonzero).status,
+              DecodeStatus::Malformed);
+
+    auto min_above_max = pristine;
+    patchPayloadF64(min_above_max, sm_state + 8, 1.0e12);
+    EXPECT_EQ(decodeFrame(min_above_max).status, DecodeStatus::Malformed);
 }
 
 TEST(Frame, RandomGarbageNeverParsesAndNeverCrashes)
