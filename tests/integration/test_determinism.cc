@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -169,6 +170,10 @@ TEST(Determinism, LargerClusterReplayMatchesPinnedDigest)
     EXPECT_EQ(failures.value() - failures_before, 2444999u);
     EXPECT_EQ(attempts.value() - attempts_before, 2736004u);
     EXPECT_EQ(passes.value() - passes_before, 118018u);
+    // Monitoring data path (Sec. II): the epilog copy of every job's
+    // spool and the largest per-node burst any one job left behind.
+    EXPECT_EQ(trace.central_store_bytes, 32764583446ull);
+    EXPECT_EQ(trace.peak_spool_bytes, 158013849ull);
 }
 
 TEST(Determinism, DifferentSeedDifferentDigest)
@@ -476,6 +481,28 @@ TEST(Determinism, ServiceSnapshotsMatchPinnedDigest)
     const auto trace = synthesize(1234);
     ASSERT_GT(trace.dataset.size(), 0u);
     EXPECT_EQ(serviceDigest(trace.dataset.records()), 0x5801ce616f0935b2ull);
+}
+
+TEST(Determinism, FrameBytesMatchPinnedDigest)
+{
+    // Pins the wire bytes of one job batch across commits: an encoder
+    // change that moves a byte fails here even when the decoder would
+    // still read the frame back. The batch holds multi-GPU records and
+    // time-series phase blocks, so every variable-length section is
+    // covered.
+    const auto trace = synthesize(1234);
+    const auto records = std::span(trace.dataset.records()).first(512);
+    std::size_t multi_gpu = 0, with_phases = 0;
+    for (const auto &r : records) {
+        multi_gpu += r.per_gpu.size() > 1;
+        with_phases += r.has_timeseries;
+    }
+    ASSERT_GT(multi_gpu, 0u);
+    ASSERT_GT(with_phases, 0u);
+    const auto frame = svc::encodeJobBatch(7, records);
+    EXPECT_EQ(frame.size(), 154004u);
+    EXPECT_EQ(fnv1a(std::string(frame.begin(), frame.end())),
+              0xb2068ae18059ae70ull);
 }
 
 TEST(Determinism, BinaryTraceMatchesCsvAcrossThreadCounts)
