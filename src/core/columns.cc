@@ -6,21 +6,15 @@ namespace aiwc::core
 void
 ColumnTable::append(const JobRecord &record)
 {
-    job_id_.push_back(record.id);
     user_idx_.push_back(users_.intern(record.user));
-    type_idx_.push_back(job_types_.intern(
-        packJobType(record.interface, record.terminal)));
+    job_types_.intern(packJobType(record.interface, record.terminal));
     interface_.push_back(static_cast<std::uint8_t>(record.interface));
     terminal_.push_back(static_cast<std::uint8_t>(record.terminal));
     true_class_.push_back(static_cast<std::uint8_t>(record.true_class));
-    has_ts_.push_back(record.has_timeseries ? 1 : 0);
     submit_.push_back(record.submit_time);
     start_.push_back(record.start_time);
     end_.push_back(record.end_time);
-    walltime_.push_back(record.walltime_limit);
     gpus_.push_back(record.gpus);
-    cpu_slots_.push_back(record.cpu_slots);
-    ram_gb_.push_back(record.ram_gb);
 
     // Derived columns use the JobRecord member functions themselves,
     // so a columnar gather and a row walk can never disagree by a ULP.

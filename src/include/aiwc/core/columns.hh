@@ -1,7 +1,9 @@
 /**
  * @file
  * Struct-of-arrays mirror of the study dataset: one contiguous column
- * per scalar field, plus interned user and job-type id tables.
+ * per scalar field an analyzer reads, plus interned user and job-type
+ * id tables. Fields no columnar kernel reads (job id, walltime limit,
+ * CPU slots, RAM, the time-series flag) live only in the records.
  *
  * The batch analyzers are reductions over millions of rows, and the
  * row-oriented JobRecord layout makes every pass chase per_gpu
@@ -53,22 +55,15 @@ class ColumnTable
     bool empty() const { return submit_.empty(); }
 
     // --- raw scalar columns, one slot per row -----------------------
-    std::span<const std::uint32_t> jobIds() const { return job_id_; }
     /** Dense user index per row; users().rawOf() recovers the id. */
     std::span<const std::uint32_t> userIndex() const { return user_idx_; }
-    /** Dense job-type index per row (see packJobType). */
-    std::span<const std::uint32_t> typeIndex() const { return type_idx_; }
     std::span<const std::uint8_t> interfaces() const { return interface_; }
     std::span<const std::uint8_t> terminals() const { return terminal_; }
     std::span<const std::uint8_t> trueClasses() const { return true_class_; }
-    std::span<const std::uint8_t> hasTimeseries() const { return has_ts_; }
     std::span<const double> submitTime() const { return submit_; }
     std::span<const double> startTime() const { return start_; }
     std::span<const double> endTime() const { return end_; }
-    std::span<const double> walltimeLimit() const { return walltime_; }
     std::span<const std::int32_t> gpus() const { return gpus_; }
-    std::span<const std::int32_t> cpuSlots() const { return cpu_slots_; }
-    std::span<const double> ramGb() const { return ram_gb_; }
 
     // --- derived hot columns ----------------------------------------
     /** end - start per row (JobRecord::runTime). */
@@ -93,15 +88,17 @@ class ColumnTable
     // --- interned id tables -----------------------------------------
     /** Distinct user ids in first-appearance order. */
     const IdTable &users() const { return users_; }
-    /** Distinct packJobType keys in first-appearance order. */
+    /**
+     * Distinct packJobType keys in first-appearance order. `.aiwt`
+     * writes this table and checks it against the records on decode.
+     */
     const IdTable &jobTypes() const { return job_types_; }
 
   private:
-    std::vector<std::uint32_t> job_id_, user_idx_, type_idx_;
-    std::vector<std::uint8_t> interface_, terminal_, true_class_, has_ts_;
-    std::vector<double> submit_, start_, end_, walltime_;
-    std::vector<std::int32_t> gpus_, cpu_slots_;
-    std::vector<double> ram_gb_;
+    std::vector<std::uint32_t> user_idx_;
+    std::vector<std::uint8_t> interface_, terminal_, true_class_;
+    std::vector<double> submit_, start_, end_;
+    std::vector<std::int32_t> gpus_;
     std::vector<double> runtime_s_, wait_s_, gpu_hours_;
     std::array<std::vector<double>, num_resources> mean_util_, max_util_;
     IdTable users_;

@@ -103,6 +103,17 @@ struct PhaseStats
 void writePhaseStats(ByteWriter &w, const PhaseStats &phases);
 
 /**
+ * Bytes writePhaseStats appends for @p phases: four f64s and two u32
+ * counts, then 8 B per interval.
+ */
+inline std::size_t
+phaseStatsBytes(const PhaseStats &phases)
+{
+    return 40 + 8 * (phases.active_intervals.size() +
+                     phases.idle_intervals.size());
+}
+
+/**
  * Read a writePhaseStats block into `out`. Total: nullptr on success,
  * else "invalid phase fraction" (truncated, or outside [0, 1]) or
  * "invalid phase intervals". The CoVs may be NaN (zero-mean CoV).

@@ -36,15 +36,6 @@ struct JobRequest
     int cpu_slots = 1;     //!< hyperthread slots requested
     double ram_gb = 4.0;   //!< host RAM requested
 
-    /**
-     * Service class and coarse task taxonomy, used by the heterogeneous
-     * scenario layer. The defaults reproduce the studied system (one
-     * plain batch queue), so callers that never set them observe
-     * byte-identical scheduling.
-     */
-    SlaClass sla = SlaClass::Batch;
-    TaskType task_type = TaskType::Ai;
-
     bool isGpuJob() const { return gpus > 0; }
 
     /** Runtime the scheduler will observe (limit-clamped). */

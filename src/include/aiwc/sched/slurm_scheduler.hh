@@ -13,7 +13,6 @@
 
 #pragma once
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <unordered_map>
@@ -71,16 +70,6 @@ struct SchedulerOptions
     bool fairshare = false;
     Seconds fairshare_half_life = 24.0 * 3600.0;
     Seconds fairshare_weight = 60.0;
-
-    /**
-     * SLA-class priority boost, in seconds of virtual queue age per
-     * class (indexed by SlaClass). All zeros by default — the studied
-     * system ran a single plain queue — so scheduling is byte-identical
-     * unless a heterogeneous scenario opts in: latency-sensitive work
-     * buys seniority with a positive boost, scavenger work yields with
-     * a negative one.
-     */
-    std::array<Seconds, num_sla_classes> sla_boost{};
 
     /**
      * Watchdog horizon: if jobs are still queued this long after

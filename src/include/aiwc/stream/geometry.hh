@@ -1,10 +1,11 @@
 /**
  * @file
- * The stream geometry: sketch sizes, seed, power caps and render
- * resolution shared by every StreamPipeline. They are constants, not
- * options, so any two pipelines merge and the same records always
- * render the same snapshot bytes. The GPU-job runtime filter is
- * core::min_gpu_runtime, the batch analyzers' 30 s cut.
+ * The stream geometry: KLL and heavy-hitters sizes, the sketch seed,
+ * power caps and render resolution shared by every StreamPipeline.
+ * They are constants, not options, so any two pipelines merge and the
+ * same records always render the same snapshot bytes. The GPU-job
+ * runtime filter is core::min_gpu_runtime, the batch analyzers' 30 s
+ * cut.
  */
 
 #pragma once
@@ -22,10 +23,7 @@ inline constexpr std::uint32_t kll_k = 256;
 /** Users tracked by the GPU-hours heavy-hitters sketch. */
 inline constexpr std::size_t heavy_hitter_capacity = 32;
 
-/** Exemplar jobs kept by the deterministic reservoir. */
-inline constexpr std::size_t reservoir_capacity = 64;
-
-/** Seed for sketch compaction coins and reservoir priorities. */
+/** Seed for every KLL sketch's compaction coins. */
 inline constexpr std::uint64_t sketch_seed = 0;
 
 /** Power caps evaluated in the Fig. 9b what-if, watts. */

@@ -1,10 +1,13 @@
 /**
  * @file
  * The bounded-memory streaming characterization pipeline: JobRecords
- * in, sketch state retained, SnapshotReport out at any moment. This is
- * the online counterpart of the batch Dataset-plus-analyzer path — the
+ * in, SnapshotReport out at any moment. This is the online
+ * counterpart of the batch Dataset-plus-analyzer path — the
  * architectural hinge for traces far larger than memory, where results
- * must stay live while ingestion continues (ROADMAP north star).
+ * must stay live while ingestion continues (ROADMAP north star). It
+ * retains eight KLL sketches, each one a snapshot renders (three
+ * service-time, three utilization, two power), the per-user table with
+ * its heavy-hitters sketch, and three row counters.
  *
  * The pipeline itself is a mergeable accumulator (CONTRIBUTING rule):
  * ingest() folds one record, merge() combines two pipelines, and
@@ -24,7 +27,6 @@
 #include "aiwc/base/mutex.hh"
 #include "aiwc/base/thread_annotations.hh"
 #include "aiwc/core/job_record.hh"
-#include "aiwc/sketch/reservoir.hh"
 #include "aiwc/stream/power.hh"
 #include "aiwc/stream/service_time.hh"
 #include "aiwc/stream/snapshot.hh"
@@ -55,7 +57,7 @@ namespace aiwc::stream
 class StreamPipeline
 {
   public:
-    StreamPipeline();
+    StreamPipeline() = default;
 
     /** Copies lock @p other, so a concurrently-fed source is safe. */
     StreamPipeline(const StreamPipeline &other);
@@ -108,11 +110,6 @@ class StreamPipeline
     {
         return user_behavior_;
     }
-    const sketch::ReservoirSample &
-    exemplars() const AIWC_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return exemplars_;
-    }
 
   private:
     /** Member-wise copy with @p other's lock already held. */
@@ -135,8 +132,6 @@ class StreamPipeline
     StreamingUtilization utilization_ AIWC_GUARDED_BY(mutex_);
     StreamingPower power_ AIWC_GUARDED_BY(mutex_);
     StreamingUserBehavior user_behavior_ AIWC_GUARDED_BY(mutex_);
-    /** Exemplar GPU-job runtimes (minutes), keyed by job id. */
-    sketch::ReservoirSample exemplars_ AIWC_GUARDED_BY(mutex_);
 };
 
 /**

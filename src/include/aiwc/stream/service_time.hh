@@ -1,8 +1,9 @@
 /**
  * @file
- * Streaming Fig. 3a: runtime and queue-wait quantile sketches over GPU
- * and CPU jobs, ingested one JobRecord at a time instead of sorting
- * materialized series like core::ServiceTimeAnalyzer.
+ * Streaming Fig. 3a: GPU and CPU runtime and GPU queue-wait quantile
+ * sketches, ingested one JobRecord at a time instead of sorting
+ * materialized series like core::ServiceTimeAnalyzer. These are the
+ * three service-time curves a SnapshotReport renders.
  */
 
 #pragma once
@@ -39,20 +40,14 @@ class StreamingServiceTime
         return cpu_runtime_min_;
     }
     const sketch::KllSketch &gpuWaitS() const { return gpu_wait_s_; }
-    const sketch::KllSketch &cpuWaitS() const { return cpu_wait_s_; }
-    const sketch::KllSketch &gpuWaitPct() const { return gpu_wait_pct_; }
-    const sketch::KllSketch &cpuWaitPct() const { return cpu_wait_pct_; }
 
-    /** Footprint of all six sketches, bytes. */
+    /** Footprint of all three sketches, bytes. */
     std::size_t bytes() const;
 
   private:
     sketch::KllSketch gpu_runtime_min_{kll_k, sketch_seed};
     sketch::KllSketch cpu_runtime_min_{kll_k, sketch_seed};
     sketch::KllSketch gpu_wait_s_{kll_k, sketch_seed};
-    sketch::KllSketch cpu_wait_s_{kll_k, sketch_seed};
-    sketch::KllSketch gpu_wait_pct_{kll_k, sketch_seed};
-    sketch::KllSketch cpu_wait_pct_{kll_k, sketch_seed};
 };
 
 } // namespace aiwc::stream

@@ -1,8 +1,8 @@
 /**
  * @file
  * Streaming Fig. 4a: per-job mean GPU utilization quantile sketches
- * (SM, memory bandwidth, memory size, PCIe Tx/Rx), the online
- * counterpart of core::UtilizationAnalyzer.
+ * over the three axes a SnapshotReport renders (SM, memory bandwidth,
+ * memory size), the online counterpart of core::UtilizationAnalyzer.
  */
 
 #pragma once
@@ -20,7 +20,7 @@ namespace aiwc::stream
 
 /**
  * Mergeable streaming counterpart of core::UtilizationAnalyzer:
- * one KLL sketch per resource axis over 100 * meanUtilization(r) of
+ * one KLL sketch per rendered axis over 100 * meanUtilization(r) of
  * every filtered GPU job.
  */
 class StreamingUtilization
@@ -32,19 +32,20 @@ class StreamingUtilization
     /** Fold another accumulator in (parallelReduce combine step). */
     void merge(const StreamingUtilization &other);
 
-    /** Sketch of 100 * meanUtilization(r), percent of capacity. */
+    /**
+     * Sketch of 100 * meanUtilization(r), percent of capacity. Panics
+     * for PCIe Tx/Rx (not sketched) and Power (StreamingPower's job).
+     */
     const sketch::KllSketch &byResource(Resource r) const;
 
     /** Footprint of all sketches, bytes. */
     std::size_t bytes() const;
 
   private:
-    /** Utilization axes sketched (Power is PowerAnalyzer's job). */
-    static constexpr std::size_t num_axes = 5;
+    /** Utilization axes sketched: SM, memBW, memSize. */
+    static constexpr std::size_t num_axes = 3;
 
     std::array<sketch::KllSketch, num_axes> pct_{
-        sketch::KllSketch(kll_k, sketch_seed),
-        sketch::KllSketch(kll_k, sketch_seed),
         sketch::KllSketch(kll_k, sketch_seed),
         sketch::KllSketch(kll_k, sketch_seed),
         sketch::KllSketch(kll_k, sketch_seed)};

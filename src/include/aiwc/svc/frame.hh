@@ -95,7 +95,10 @@ struct DecodedFrame
     bool ok() const { return status == DecodeStatus::Ok; }
 };
 
-/** Encode one JobBatch frame for @p tenant. */
+/**
+ * Encode one JobBatch frame for @p tenant into a buffer sized exactly
+ * to the frame (capacity() == size()).
+ */
 std::vector<std::uint8_t> encodeJobBatch(
     std::uint64_t tenant, std::span<const core::JobRecord> records);
 

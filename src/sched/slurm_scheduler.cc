@@ -192,13 +192,8 @@ SlurmScheduler::staticKey(const Job &job) const
 {
     // FCFS by submit time, with multi-GPU seniority: each requested
     // GPU is worth gpu_priority_boost seconds of queue age.
-    Seconds key =
-        job.request.submit_time -
-        options_.gpu_priority_boost * static_cast<double>(job.request.gpus);
-    // SLA seniority (zero by default): latency-sensitive classes can
-    // buy virtual queue age, scavenger classes can give it back.
-    key -= options_.sla_boost[static_cast<std::size_t>(job.request.sla)];
-    return key;
+    return job.request.submit_time -
+           options_.gpu_priority_boost * static_cast<double>(job.request.gpus);
 }
 
 Seconds

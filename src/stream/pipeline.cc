@@ -64,11 +64,6 @@ renderCdf(const sketch::KllSketch &s)
 
 } // namespace
 
-StreamPipeline::StreamPipeline()
-    : exemplars_(reservoir_capacity, sketch_seed)
-{
-}
-
 // The delegating copy constructor pins @p other with a temporary
 // MutexLock that lives until the target constructor returns; the
 // analysis cannot track a scoped capability held by a temporary, so
@@ -86,7 +81,7 @@ StreamPipeline::StreamPipeline(const StreamPipeline &other,
       gpu_jobs_(other.gpu_jobs_), cpu_jobs_(other.cpu_jobs_),
       service_time_(other.service_time_),
       utilization_(other.utilization_), power_(other.power_),
-      user_behavior_(other.user_behavior_), exemplars_(other.exemplars_)
+      user_behavior_(other.user_behavior_)
 {
 }
 
@@ -103,7 +98,6 @@ StreamPipeline::operator=(const StreamPipeline &other)
     utilization_ = other.utilization_;
     power_ = other.power_;
     user_behavior_ = other.user_behavior_;
-    exemplars_ = other.exemplars_;
     return *this;
 }
 
@@ -113,14 +107,10 @@ StreamPipeline::ingest(const core::JobRecord &rec)
     MutexLock lock(mutex_);
     ++rows_;
     rowsCounter().add(1);
-    if (rec.isGpuJob()) {
-        if (rec.runTime() >= core::min_gpu_runtime) {
-            ++gpu_jobs_;
-            exemplars_.add(rec.id, rec.runTime() / 60.0);
-        }
-    } else {
+    if (!rec.isGpuJob())
         ++cpu_jobs_;
-    }
+    else if (rec.runTime() >= core::min_gpu_runtime)
+        ++gpu_jobs_;
     service_time_.observe(rec);
     utilization_.observe(rec);
     power_.observe(rec);
@@ -140,7 +130,6 @@ StreamPipeline::merge(const StreamPipeline &other)
     utilization_.merge(other.utilization_);
     power_.merge(other.power_);
     user_behavior_.merge(other.user_behavior_);
-    exemplars_.merge(other.exemplars_);
 }
 
 SnapshotReport
@@ -219,7 +208,7 @@ std::size_t
 StreamPipeline::sketchBytesLocked() const
 {
     return service_time_.bytes() + utilization_.bytes() +
-           power_.bytes() + user_behavior_.bytes() + exemplars_.bytes();
+           power_.bytes() + user_behavior_.bytes();
 }
 
 StreamPipeline

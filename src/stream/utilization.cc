@@ -9,7 +9,7 @@ namespace aiwc::stream
 namespace
 {
 
-/** Axis slot of a utilization resource; Power has no utilization. */
+/** Axis slot of a sketched resource; the others have no sketch. */
 std::size_t
 axisOf(Resource r)
 {
@@ -17,16 +17,16 @@ axisOf(Resource r)
       case Resource::Sm: return 0;
       case Resource::MemoryBw: return 1;
       case Resource::MemorySize: return 2;
-      case Resource::PcieTx: return 3;
-      case Resource::PcieRx: return 4;
+      case Resource::PcieTx:
+      case Resource::PcieRx:
       case Resource::Power: break;
     }
-    panic("power has no utilization sketch; use StreamingPower");
+    panic("no stream utilization sketch for ", toString(r),
+          " (power is StreamingPower's)");
 }
 
-constexpr std::array<Resource, 5> axes = {
-    Resource::Sm, Resource::MemoryBw, Resource::MemorySize,
-    Resource::PcieTx, Resource::PcieRx};
+constexpr std::array<Resource, 3> axes = {
+    Resource::Sm, Resource::MemoryBw, Resource::MemorySize};
 
 } // namespace
 

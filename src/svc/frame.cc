@@ -38,6 +38,14 @@ decodeRejectsCounter()
 constexpr std::size_t min_record_bytes =
     4 + 4 + 4 * 1 + 4 * 8 + 4 + 4 + 8 + 2;
 
+/** Bytes writeRecord appends for @p rec. */
+std::size_t
+recordBytes(const core::JobRecord &rec)
+{
+    return min_record_bytes + rec.per_gpu.size() * core::gpu_summary_bytes +
+           (rec.has_timeseries ? core::phaseStatsBytes(rec.phases) : 0);
+}
+
 void
 writeRecord(ByteWriter &w, const core::JobRecord &rec)
 {
@@ -137,25 +145,32 @@ encodeJobBatch(std::uint64_t tenant,
 {
     AIWC_CHECK(records.size() <= 0xffffffffull,
                "job batch record count exceeds the u32 wire field");
-    std::vector<std::uint8_t> payload;
-    payload.reserve(records.size() * min_record_bytes + 4);
-    {
-        ByteWriter w(payload);
-        w.u32(static_cast<std::uint32_t>(records.size()));
-        for (const core::JobRecord &rec : records)
-            writeRecord(w, rec);
-    }
-    AIWC_CHECK(payload.size() <= max_frame_payload,
+    std::size_t payload_len = 4;
+    for (const core::JobRecord &rec : records)
+        payload_len += recordBytes(rec);
+    AIWC_CHECK(payload_len <= max_frame_payload,
                "encoded job batch exceeds max_frame_payload; ",
                "split the batch");
 
+    // One exactly sized buffer: the header with a zero CRC, then the
+    // payload, then the CRC (the header's last field, offset 20)
+    // patched in place over the written payload.
     std::vector<std::uint8_t> frame;
-    frame.reserve(frame_header_bytes + payload.size());
+    frame.reserve(frame_header_bytes + payload_len);
     ByteWriter w(frame);
     writeHeader(w, FrameType::JobBatch, tenant,
-                static_cast<std::uint32_t>(payload.size()),
-                crc32(payload));
-    frame.insert(frame.end(), payload.begin(), payload.end());
+                static_cast<std::uint32_t>(payload_len), 0);
+    w.u32(static_cast<std::uint32_t>(records.size()));
+    for (const core::JobRecord &rec : records)
+        writeRecord(w, rec);
+    AIWC_CHECK_EQ(frame.size(), frame_header_bytes + payload_len,
+                  "job batch encoded to a size other than computed");
+    const std::uint32_t crc =
+        crc32(std::span<const std::uint8_t>(frame).subspan(
+            frame_header_bytes));
+    for (std::size_t i = 0; i < 4; ++i)
+        frame[frame_header_bytes - 4 + i] =
+            static_cast<std::uint8_t>(crc >> (8 * i));
     framesEncodedCounter().add(1);
     return frame;
 }

@@ -10,7 +10,6 @@
 #include "aiwc/dist/distributions.hh"
 #include "aiwc/sim/cluster_factory.hh"
 #include "aiwc/sim/simulation.hh"
-#include "aiwc/telemetry/collector.hh"
 #include "aiwc/telemetry/sampler.hh"
 #include "aiwc/workload/arrival_process.hh"
 #include "aiwc/workload/job_generator.hh"
@@ -308,8 +307,6 @@ TraceSynthesizer::runImpl(SynthesisResult &result,
     // --- Telemetry plumbing. ---
     const telemetry::PowerModel power(profile_.power);
     const telemetry::GpuSampler sampler(power, profile_.monitoring);
-    telemetry::NodeSpool spool;
-    telemetry::EpilogCollector collector(spool);
 
     // A job's telemetry is a pure function of its profile, run time
     // and detail flag (it draws from its own telemetry_seed), and the
@@ -404,18 +401,22 @@ TraceSynthesizer::runImpl(SynthesisResult &result,
                 req.ram_gb, spec.node.ram_gb * std::max(spec.nodes / 2, 1));
         }
 
-        scheduler.setProlog([&](const sched::Job &job) {
-            std::vector<NodeId> nodes;
-            nodes.reserve(job.allocation.shares.size());
-            for (const auto &share : job.allocation.shares)
-                nodes.push_back(share.node);
-            collector.onProlog(job.request.id, nodes);
-        });
+        // Monitoring data path (Sec. II): a job's monitors spool to
+        // its nodes, split evenly with the remainder on the first
+        // node, and the epilog copies all of it to the central store
+        // before any other job's epilog runs. So no node ever holds
+        // more than one job's share, and the peak spool is the largest
+        // first-node share of any one job.
         scheduler.setEpilog([&](const sched::Job &job) {
-            collector.recordSamples(
-                job.request.id,
-                nominalSpoolBytes(job, profile_.monitoring));
-            collector.onEpilog(job.request.id);
+            const std::uint64_t bytes =
+                nominalSpoolBytes(job, profile_.monitoring);
+            const std::uint64_t nodes = job.allocation.shares.size();
+            AIWC_CHECK(nodes > 0, "job ", job.request.id,
+                       " ran on no nodes");
+            result.central_store_bytes += bytes;
+            result.peak_spool_bytes =
+                std::max(result.peak_spool_bytes,
+                         bytes - bytes / nodes * (nodes - 1));
             finalize(job);
         });
 
@@ -442,9 +443,6 @@ TraceSynthesizer::runImpl(SynthesisResult &result,
         }
         flush();
     }
-
-    result.central_store_bytes = collector.centralStoreBytes();
-    result.peak_spool_bytes = collector.peakNodeOccupancy();
 }
 
 std::uint64_t

@@ -42,9 +42,8 @@ counterValues()
 }
 
 /**
- * Submit instants on a 30 s grid, GPU counts of 0, 1, 2 or 4 and SLA
- * boosts that are multiples of 60 s: with the 120 s per-GPU boost, many
- * jobs share a priority key.
+ * Submit instants on a 30 s grid and GPU counts of 0, 1, 2 or 4: with
+ * the 120 s per-GPU boost, many jobs share a priority key.
  */
 std::vector<JobRequest>
 tieHeavyLoad(std::uint64_t seed)
@@ -58,7 +57,6 @@ tieHeavyLoad(std::uint64_t seed)
         req.submit_time = 30.0 * static_cast<double>(rng.below(60));
         req.duration = rng.chance(0.5) ? 60.0 : rng.uniform(30.0, 3000.0);
         req.walltime_limit = req.duration * (rng.chance(0.5) ? 1.0 : 3.0);
-        req.sla = static_cast<SlaClass>(rng.below(num_sla_classes));
         constexpr std::array<int, 4> gpu_counts{0, 1, 2, 4};
         req.gpus = gpu_counts[rng.below(gpu_counts.size())];
         if (req.gpus > 0) {
@@ -85,7 +83,6 @@ Outcome
 replay(const std::vector<JobRequest> &load, bool fairshare)
 {
     SchedulerOptions options;
-    options.sla_boost = {60.0, 0.0, -120.0};
     options.fairshare = fairshare;
     options.fairshare_weight = 0.0;
 

@@ -82,8 +82,6 @@ TEST(StreamEquivalence, ServiceTimeMatchesBatchWithinEpsilon)
                           batch.cpu_runtime_min, "cpu runtime");
     expectWithinRankError(p.serviceTime().gpuWaitS(),
                           batch.gpu_wait_s, "gpu wait");
-    expectWithinRankError(p.serviceTime().gpuWaitPct(),
-                          batch.gpu_wait_pct, "gpu wait pct");
 }
 
 TEST(StreamEquivalence, UtilizationMatchesBatchWithinEpsilon)

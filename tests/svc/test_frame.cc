@@ -91,6 +91,9 @@ TEST(Frame, RoundTripPreservesEveryField)
     // included), so equal digests mean the batch crossed unchanged.
     const auto records = sampleBatch();
     const auto frame = encodeJobBatch(77, records);
+    // Encoded in place into an exactly sized buffer: a service that
+    // keeps frames keeps no slack.
+    EXPECT_EQ(frame.capacity(), frame.size());
     const auto decoded = decodeFrame(frame);
     ASSERT_TRUE(decoded.ok()) << toString(decoded.status);
     EXPECT_EQ(decoded.tenant, 77u);
