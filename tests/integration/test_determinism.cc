@@ -505,6 +505,19 @@ TEST(Determinism, FrameBytesMatchPinnedDigest)
               0xb2068ae18059ae70ull);
 }
 
+TEST(Determinism, CsvExportMatchesPinnedDigest)
+{
+    // Pins the bytes Dataset::writeCsv emits across commits: a change
+    // to how numbers are formatted or rows are written must keep every
+    // character of the export.
+    const auto trace = synthesize(1234);
+    std::ostringstream os;
+    trace.dataset.writeCsv(os);
+    const std::string text = os.str();
+    EXPECT_EQ(text.size(), 303401u);
+    EXPECT_EQ(fnv1a(text), 0x5d1827e48ed1ea04ull);
+}
+
 TEST(Determinism, BinaryTraceMatchesCsvAcrossThreadCounts)
 {
     // The trace-format guarantee: a Dataset loaded from the binary
