@@ -1,13 +1,25 @@
 #include "aiwc/common/table.hh"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
+#include "aiwc/base/check.hh"
 #include "aiwc/base/logging.hh"
 
 namespace aiwc
 {
+
+namespace
+{
+
+/** Largest decimal count appendNumber() accepts. */
+constexpr int max_precision = 32;
+
+} // namespace
 
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers))
@@ -52,19 +64,35 @@ TextTable::print(std::ostream &os) const
         emit_row(row);
 }
 
+void
+appendNumber(std::string &out, double v, int precision)
+{
+    AIWC_CHECK(precision >= 0 && precision <= max_precision,
+               "number precision must be in [0, ", max_precision,
+               "], got ", precision);
+    // Fixed notation of the largest double: 309 integer digits, a
+    // sign, the point and the decimals.
+    std::array<char, 312 + max_precision> buf;
+    const auto [end, ec] =
+        std::to_chars(buf.data(), buf.data() + buf.size(), v,
+                      std::chars_format::fixed, precision);
+    AIWC_CHECK(ec == std::errc{}, "number does not fit its buffer");
+    std::string_view s(buf.data(), static_cast<std::size_t>(end - buf.data()));
+    if (s.find('.') != std::string_view::npos) {
+        while (!s.empty() && s.back() == '0')
+            s.remove_suffix(1);
+        if (!s.empty() && s.back() == '.')
+            s.remove_suffix(1);
+    }
+    out.append(s.empty() ? std::string_view("0") : s);
+}
+
 std::string
 formatNumber(double v, int precision)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-    std::string s(buf);
-    if (s.find('.') != std::string::npos) {
-        while (!s.empty() && s.back() == '0')
-            s.pop_back();
-        if (!s.empty() && s.back() == '.')
-            s.pop_back();
-    }
-    return s.empty() ? "0" : s;
+    std::string s;
+    appendNumber(s, v, precision);
+    return s;
 }
 
 std::string

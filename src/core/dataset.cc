@@ -1,5 +1,8 @@
 #include "aiwc/core/dataset.hh"
 
+#include <string>
+
+#include "aiwc/base/check.hh"
 #include "aiwc/common/csv.hh"
 #include "aiwc/common/parallel.hh"
 #include "aiwc/common/table.hh"
@@ -79,36 +82,57 @@ Dataset::totalGpuHours() const
 void
 Dataset::writeCsv(std::ostream &os) const
 {
-    CsvWriter csv(os, {csv_columns.begin(), csv_columns.end()});
-    std::vector<std::string> row(csv_columns.size());
+    CsvWriter header(os, {csv_columns.begin(), csv_columns.end()});
+    // Every cell is a number or an enum name, none of which holds a
+    // comma, quote or line break, so each row is appended unquoted to
+    // one reused buffer and written with one call. cell() checks that
+    // the cells arrive in csv_columns order.
+    std::string line;
+    std::size_t next = 0;
+    const auto cell = [&](std::size_t column) {
+        AIWC_DCHECK_EQ(column, next, "CSV cell out of column order");
+        ++next;
+        if (column > 0)
+            line += ',';
+    };
+    const auto num = [&](std::size_t column, double v, int precision) {
+        cell(column);
+        appendNumber(line, v, precision);
+    };
     for (const auto &r : records_) {
-        const auto mean = [&r](Resource res) {
-            return formatNumber(r.meanUtilization(res), 4);
+        line.clear();
+        next = 0;
+        const auto mean = [&](std::size_t column, Resource res) {
+            num(column, r.meanUtilization(res), 4);
         };
-        const auto max = [&r](Resource res) {
-            return formatNumber(r.maxUtilization(res), 4);
+        const auto max = [&](std::size_t column, Resource res) {
+            num(column, r.maxUtilization(res), 4);
         };
-        row[csvColumn("job_id")] = formatNumber(r.id, 0);
-        row[csvColumn("user")] = formatNumber(r.user, 0);
-        row[csvColumn("interface")] = toString(r.interface);
-        row[csvColumn("terminal")] = toString(r.terminal);
-        row[csvColumn("submit_s")] = formatNumber(r.submit_time, 1);
-        row[csvColumn("start_s")] = formatNumber(r.start_time, 1);
-        row[csvColumn("end_s")] = formatNumber(r.end_time, 1);
-        row[csvColumn("gpus")] = formatNumber(r.gpus, 0);
-        row[csvColumn("cpu_slots")] = formatNumber(r.cpu_slots, 0);
-        row[csvColumn("ram_gb")] = formatNumber(r.ram_gb, 1);
-        row[csvColumn("sm_mean")] = mean(Resource::Sm);
-        row[csvColumn("sm_max")] = max(Resource::Sm);
-        row[csvColumn("membw_mean")] = mean(Resource::MemoryBw);
-        row[csvColumn("membw_max")] = max(Resource::MemoryBw);
-        row[csvColumn("memsize_mean")] = mean(Resource::MemorySize);
-        row[csvColumn("memsize_max")] = max(Resource::MemorySize);
-        row[csvColumn("pcie_tx_mean")] = mean(Resource::PcieTx);
-        row[csvColumn("pcie_rx_mean")] = mean(Resource::PcieRx);
-        row[csvColumn("power_mean_w")] = formatNumber(r.meanPowerWatts(), 1);
-        row[csvColumn("power_max_w")] = formatNumber(r.maxPowerWatts(), 1);
-        csv.writeRow(row);
+        num(csvColumn("job_id"), static_cast<double>(r.id), 0);
+        num(csvColumn("user"), static_cast<double>(r.user), 0);
+        cell(csvColumn("interface"));
+        line += toString(r.interface);
+        cell(csvColumn("terminal"));
+        line += toString(r.terminal);
+        num(csvColumn("submit_s"), r.submit_time, 1);
+        num(csvColumn("start_s"), r.start_time, 1);
+        num(csvColumn("end_s"), r.end_time, 1);
+        num(csvColumn("gpus"), r.gpus, 0);
+        num(csvColumn("cpu_slots"), r.cpu_slots, 0);
+        num(csvColumn("ram_gb"), r.ram_gb, 1);
+        mean(csvColumn("sm_mean"), Resource::Sm);
+        max(csvColumn("sm_max"), Resource::Sm);
+        mean(csvColumn("membw_mean"), Resource::MemoryBw);
+        max(csvColumn("membw_max"), Resource::MemoryBw);
+        mean(csvColumn("memsize_mean"), Resource::MemorySize);
+        max(csvColumn("memsize_max"), Resource::MemorySize);
+        mean(csvColumn("pcie_tx_mean"), Resource::PcieTx);
+        mean(csvColumn("pcie_rx_mean"), Resource::PcieRx);
+        num(csvColumn("power_mean_w"), r.meanPowerWatts(), 1);
+        num(csvColumn("power_max_w"), r.maxPowerWatts(), 1);
+        AIWC_DCHECK_EQ(next, csv_columns.size(), "CSV row is short");
+        line += '\n';
+        os.write(line.data(), static_cast<std::streamsize>(line.size()));
     }
 }
 

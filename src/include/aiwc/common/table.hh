@@ -41,6 +41,14 @@ class TextTable
     std::vector<std::vector<std::string>> rows_;
 };
 
+/**
+ * Append @p v in fixed notation with @p precision decimals (0..32,
+ * AIWC_CHECK), trailing fractional zeros and a bare '.' trimmed: the
+ * one number formatter behind formatNumber() and the dataset CSV
+ * export, which appends every cell of a row into one reused buffer.
+ */
+void appendNumber(std::string &out, double v, int precision = 3);
+
 /** Format a double with the given precision, trimming trailing zeros. */
 std::string formatNumber(double v, int precision = 3);
 

@@ -2,11 +2,13 @@
  * @file
  * Empirical cumulative distribution functions — the paper's primary
  * presentation device (Figs. 3, 4, 6, 7, 9, 10, 11, 14 are all CDFs).
+ * Streaming sketches reach the same curve()/ksDistance plotting path
+ * through stream::renderCdf, which builds one of these from
+ * sketch::KllSketch::quantiles.
  */
 
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -24,21 +26,6 @@ class EmpiricalCdf
 
     /** Build from an unsorted sample. */
     explicit EmpiricalCdf(std::vector<double> sample);
-
-    /**
-     * Build a CDF by sampling a quantile function at `points` evenly
-     * spaced levels in [0, 1] — the bridge that renders a streaming
-     * sketch (sketch::KllSketch::quantile) through the existing
-     * curve()/ksDistance plotting path. The evaluations are
-     * monotonized (clamped non-decreasing) so an approximate quantile
-     * function with small rank-error wobble still yields a valid CDF.
-     * @param fn quantile function over [0, 1]; returning NaN at level
-     *     0 signals an empty distribution and yields an empty CDF.
-     * @param points number of levels >= 2 (AIWC_CHECK).
-     */
-    static EmpiricalCdf
-    fromQuantileFunction(const std::function<double(double)> &fn,
-                         int points = 201);
 
     /** True when no samples were provided. */
     bool empty() const { return sorted_.empty(); }

@@ -21,6 +21,13 @@ namespace aiwc::stats
 double topShare(std::span<const double> contributions, double top_fraction);
 
 /**
+ * topShare() over contributions already sorted ascending (AIWC_DCHECK),
+ * so one sort can serve several fractions and a median.
+ */
+double topShareSorted(std::span<const double> ascending,
+                      double top_fraction);
+
+/**
  * The full descending-sorted cumulative share curve, sampled at each
  * contributor: entry i is the fraction of total mass held by the top
  * i+1 contributors.

@@ -16,17 +16,28 @@
 #include "aiwc/core/power_analyzer.hh"
 #include "aiwc/core/user_behavior_analyzer.hh"
 #include "aiwc/sketch/heavy_hitters.hh"
+#include "aiwc/sketch/kll.hh"
 #include "aiwc/stats/ecdf.hh"
+#include "aiwc/stream/geometry.hh"
 
 namespace aiwc::stream
 {
 
 /**
+ * Render one KLL sketch as a plottable CDF: KllSketch::quantiles at the
+ * @p points evenly spaced levels i / (points - 1), one sorted view per
+ * sketch. The samples are non-decreasing by construction (one forward
+ * walk of the sorted items); an empty sketch renders an empty CDF.
+ * @param points number of levels >= 2 (AIWC_CHECK).
+ */
+stats::EmpiricalCdf renderCdf(const sketch::KllSketch &sketch,
+                              int points = snapshot_points);
+
+/**
  * Point-in-time report over everything ingested so far. The CDFs are
- * rendered from the KLL sketches through
- * stats::EmpiricalCdf::fromQuantileFunction, so every quantile carries
- * the sketch's epsilon rank-error bound; the per-user aggregates and
- * cap impacts are listed in their figure order.
+ * rendered from the KLL sketches by renderCdf, so every quantile
+ * carries the sketch's epsilon rank-error bound; the per-user
+ * aggregates and cap impacts are listed in their figure order.
  */
 struct SnapshotReport
 {

@@ -1,6 +1,7 @@
 #include "aiwc/scenario/engine.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "aiwc/base/check.hh"
 #include "aiwc/obs/metrics.hh"
@@ -424,9 +425,10 @@ class CellSimulator
             const auto &sk = wait_sketches_[static_cast<std::size_t>(c)];
             WaitQuantiles &w = stats_.waits[static_cast<std::size_t>(c)];
             if (sk.count() > 0) {
-                w.p50 = sk.quantile(0.50);
-                w.p95 = sk.quantile(0.95);
-                w.p99 = sk.quantile(0.99);
+                const auto q = sk.quantiles(std::array{0.50, 0.95, 0.99});
+                w.p50 = q[0];
+                w.p95 = q[1];
+                w.p99 = q[2];
             }
         }
 

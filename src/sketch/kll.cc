@@ -23,6 +23,15 @@ compactionCounter()
     return c;
 }
 
+/** Process-wide sorted-view counter (aiwc.sketch.sorted_views). */
+obs::Counter &
+sortedViewCounter()
+{
+    static obs::Counter &c =
+        obs::MetricsRegistry::global().counter("aiwc.sketch.sorted_views");
+    return c;
+}
+
 } // namespace
 
 KllSketch::KllSketch(std::uint32_t k, std::uint64_t seed)
@@ -117,29 +126,64 @@ KllSketch::sortedItems() const
         weight <<= 1;
     }
     std::sort(items.begin(), items.end());
+    sortedViewCounter().add(1);
     return items;
 }
 
 double
 KllSketch::quantile(double q) const
 {
-    AIWC_CHECK(q >= 0.0 && q <= 1.0, "quantile level must be in [0, 1], got ",
-               q);
-    if (count_ == 0)
-        return std::numeric_limits<double>::quiet_NaN();
-    if (q == 0.0)
-        return min_;
-    if (q == 1.0)
-        return max_;
-    const auto items = sortedItems();
-    const double target = q * static_cast<double>(count_);
-    double cum = 0.0;
-    for (const auto &[value, weight] : items) {
-        cum += static_cast<double>(weight);
-        if (cum >= target)
-            return std::clamp(value, min_, max_);
+    return quantiles(std::span(&q, 1)).front();
+}
+
+std::vector<double>
+KllSketch::quantiles(std::span<const double> levels) const
+{
+    std::vector<double> out;
+    out.reserve(levels.size());
+    // The sort is deferred to the first interior level, so an empty
+    // sketch or a min/max-only query never builds the sorted view. A
+    // non-empty sketch always retains items (a compaction keeps half).
+    std::vector<std::pair<double, std::uint64_t>> items;
+    std::size_t next = 0;  // first item not yet folded into cum
+    double cum = 0.0;      // weight of items[0, next), summed in order
+    double prev = 0.0;
+    for (const double q : levels) {
+        AIWC_CHECK(q >= 0.0 && q <= 1.0,
+                   "quantile level must be in [0, 1], got ", q);
+        AIWC_CHECK(q >= prev, "quantile levels must ascend, got ", q,
+                   " after ", prev);
+        prev = q;
+        if (count_ == 0) {
+            out.push_back(std::numeric_limits<double>::quiet_NaN());
+            continue;
+        }
+        if (q == 0.0) {
+            out.push_back(min_);
+            continue;
+        }
+        if (q == 1.0) {
+            out.push_back(max_);
+            continue;
+        }
+        if (items.empty())
+            items = sortedItems();
+        // Targets ascend with the levels, so every item the previous
+        // level passed over stays below this target too: the cursor
+        // only moves forward, and an item's cumulative weight is the
+        // same in-order prefix sum whichever level reaches it, so a
+        // batch of levels answers exactly as one level at a time.
+        const double target = q * static_cast<double>(count_);
+        while (next < items.size() &&
+               cum + static_cast<double>(items[next].second) < target) {
+            cum += static_cast<double>(items[next].second);
+            ++next;
+        }
+        out.push_back(next < items.size()
+                          ? std::clamp(items[next].first, min_, max_)
+                          : max_);
     }
-    return max_;
+    return out;
 }
 
 double

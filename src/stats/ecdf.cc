@@ -16,29 +16,6 @@ EmpiricalCdf::EmpiricalCdf(std::vector<double> sample)
     std::sort(sorted_.begin(), sorted_.end());
 }
 
-EmpiricalCdf
-EmpiricalCdf::fromQuantileFunction(
-    const std::function<double(double)> &fn, int points)
-{
-    AIWC_CHECK(points >= 2,
-               "fromQuantileFunction needs at least two levels");
-    std::vector<double> sample;
-    sample.reserve(static_cast<std::size_t>(points));
-    for (int i = 0; i < points; ++i) {
-        const double q = static_cast<double>(i) / (points - 1);
-        double v = fn(q);
-        if (std::isnan(v)) {
-            AIWC_CHECK(i == 0, "quantile function returned NaN at level ",
-                       q, " after returning values below it");
-            return EmpiricalCdf{};
-        }
-        if (!sample.empty())
-            v = std::max(v, sample.back());
-        sample.push_back(v);
-    }
-    return EmpiricalCdf(std::move(sample));
-}
-
 double
 EmpiricalCdf::at(double x) const
 {

@@ -54,14 +54,6 @@ sketchBytesGauge()
     return g;
 }
 
-/** Render one KLL sketch through the ECDF plotting bridge. */
-stats::EmpiricalCdf
-renderCdf(const sketch::KllSketch &s)
-{
-    return stats::EmpiricalCdf::fromQuantileFunction(
-        [&s](double q) { return s.quantile(q); }, snapshot_points);
-}
-
 } // namespace
 
 // The delegating copy constructor pins @p other with a temporary
@@ -168,23 +160,13 @@ StreamPipeline::snapshot() const
          power_.maxWatts().epsilonBound()});
 
     report.users = user_behavior_.userCount();
-    std::vector<double> user_rt, user_sm;
-    const auto summaries = user_behavior_.summaries();
-    user_rt.reserve(summaries.size());
-    user_sm.reserve(summaries.size());
-    for (const auto &s : summaries) {
-        user_rt.push_back(s.avg_runtime_min);
-        user_sm.push_back(s.avg_sm_pct);
-    }
+    auto users = user_behavior_.aggregates();
     report.user_avg_runtime_min =
-        stats::EmpiricalCdf(std::move(user_rt));
-    report.user_avg_sm_pct = stats::EmpiricalCdf(std::move(user_sm));
-    if (report.users > 0) {
-        report.top5_job_share = user_behavior_.topJobShare(0.05);
-        report.top20_job_share = user_behavior_.topJobShare(0.20);
-        report.median_jobs_per_user =
-            user_behavior_.medianJobsPerUser();
-    }
+        stats::EmpiricalCdf(std::move(users.avg_runtime_min));
+    report.user_avg_sm_pct = stats::EmpiricalCdf(std::move(users.avg_sm_pct));
+    report.top5_job_share = users.top5_job_share;
+    report.top20_job_share = users.top20_job_share;
+    report.median_jobs_per_user = users.median_jobs_per_user;
     report.top_users_by_gpu_hours = user_behavior_.topUsersByGpuHours(
         std::min<std::size_t>(5, heavy_hitter_capacity));
     return report;

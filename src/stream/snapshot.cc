@@ -1,5 +1,8 @@
 #include "aiwc/stream/snapshot.hh"
 
+#include <algorithm>
+
+#include "aiwc/base/check.hh"
 #include "aiwc/common/table.hh"
 
 namespace aiwc::stream
@@ -20,6 +23,23 @@ quantileRow(const std::string &label, const stats::EmpiricalCdf &cdf)
 }
 
 } // namespace
+
+stats::EmpiricalCdf
+renderCdf(const sketch::KllSketch &sketch, int points)
+{
+    AIWC_CHECK(points >= 2, "renderCdf needs at least two levels, got ",
+               points);
+    if (sketch.count() == 0)
+        return stats::EmpiricalCdf{};
+    std::vector<double> levels(static_cast<std::size_t>(points));
+    for (int i = 0; i < points; ++i)
+        levels[static_cast<std::size_t>(i)] =
+            static_cast<double>(i) / (points - 1);
+    std::vector<double> sample = sketch.quantiles(levels);
+    AIWC_DCHECK(std::is_sorted(sample.begin(), sample.end()),
+                "a sorted-view walk must yield non-decreasing quantiles");
+    return stats::EmpiricalCdf(std::move(sample));
+}
 
 void
 SnapshotReport::print(std::ostream &os) const

@@ -1,5 +1,7 @@
 #include "aiwc/stream/user_behavior.hh"
 
+#include <algorithm>
+
 #include "aiwc/core/dataset.hh"
 #include "aiwc/stats/descriptive.hh"
 #include "aiwc/stats/share_curve.hh"
@@ -20,8 +22,6 @@ StreamingUserBehavior::UserAccum::merge(const UserAccum &other)
 {
     runtime_min.merge(other.runtime_min);
     sm_pct.merge(other.sm_pct);
-    membw_pct.merge(other.membw_pct);
-    memsize_pct.merge(other.memsize_pct);
     gpu_hours += other.gpu_hours;
 }
 
@@ -33,9 +33,6 @@ StreamingUserBehavior::observe(const core::JobRecord &rec)
     UserAccum &acc = users_[rec.user];
     acc.runtime_min.add(rec.runTime() / 60.0);
     acc.sm_pct.add(100.0 * rec.meanUtilization(Resource::Sm));
-    acc.membw_pct.add(100.0 * rec.meanUtilization(Resource::MemoryBw));
-    acc.memsize_pct.add(
-        100.0 * rec.meanUtilization(Resource::MemorySize));
     acc.gpu_hours += rec.gpuHours();
     hours_topk_.add(rec.user, rec.gpuHours());
 }
@@ -63,41 +60,34 @@ StreamingUserBehavior::summaries() const
         s.gpu_hours = acc.gpu_hours;
         s.avg_runtime_min = acc.runtime_min.mean();
         s.avg_sm_pct = acc.sm_pct.mean();
-        s.avg_membw_pct = acc.membw_pct.mean();
-        s.avg_memsize_pct = acc.memsize_pct.mean();
         if (s.jobs >= min_jobs_for_cov) {
             s.runtime_cov_pct = acc.runtime_min.covPercent();
             s.sm_cov_pct = acc.sm_pct.covPercent();
-            s.membw_cov_pct = acc.membw_pct.covPercent();
-            s.memsize_cov_pct = acc.memsize_pct.covPercent();
         }
         out.push_back(s);
     }
     return out;
 }
 
-double
-StreamingUserBehavior::topJobShare(double fraction) const
+StreamingUserBehavior::Aggregates
+StreamingUserBehavior::aggregates() const
 {
+    Aggregates out;
+    out.avg_runtime_min.reserve(users_.size());
+    out.avg_sm_pct.reserve(users_.size());
     std::vector<double> jobs_per_user;
     jobs_per_user.reserve(users_.size());
     for (const auto &[user, acc] : users_) {
+        out.avg_runtime_min.push_back(acc.runtime_min.mean());
+        out.avg_sm_pct.push_back(acc.sm_pct.mean());
         jobs_per_user.push_back(
             static_cast<double>(acc.runtime_min.count()));
     }
-    return stats::topShare(jobs_per_user, fraction);
-}
-
-double
-StreamingUserBehavior::medianJobsPerUser() const
-{
-    std::vector<double> jobs_per_user;
-    jobs_per_user.reserve(users_.size());
-    for (const auto &[user, acc] : users_) {
-        jobs_per_user.push_back(
-            static_cast<double>(acc.runtime_min.count()));
-    }
-    return stats::percentile(std::move(jobs_per_user), 0.5);
+    std::sort(jobs_per_user.begin(), jobs_per_user.end());
+    out.top5_job_share = stats::topShareSorted(jobs_per_user, 0.05);
+    out.top20_job_share = stats::topShareSorted(jobs_per_user, 0.20);
+    out.median_jobs_per_user = stats::percentileSorted(jobs_per_user, 0.5);
+    return out;
 }
 
 std::vector<sketch::HeavyHitters::Entry>

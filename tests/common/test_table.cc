@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "aiwc/base/check.hh"
 #include "aiwc/common/table.hh"
 
 namespace aiwc
@@ -51,6 +52,31 @@ TEST(FormatNumber, RespectsPrecision)
 {
     EXPECT_EQ(formatNumber(3.14159, 2), "3.14");
     EXPECT_EQ(formatNumber(3.14159, 0), "3");
+}
+
+TEST(FormatNumber, KeepsTheSignOfNegativesAndNegativeZero)
+{
+    EXPECT_EQ(formatNumber(-1.500, 3), "-1.5");
+    EXPECT_EQ(formatNumber(-2.000, 3), "-2");
+    EXPECT_EQ(formatNumber(-10.0, 0), "-10");
+    EXPECT_EQ(formatNumber(-0.0625, 4), "-0.0625");
+    EXPECT_EQ(formatNumber(-0.0625, 3), "-0.062");  // ties to even
+    // -0.0, and negatives that round to zero, keep their sign ("%f").
+    EXPECT_EQ(formatNumber(-0.0, 3), "-0");
+    EXPECT_EQ(formatNumber(-0.0001, 3), "-0");
+    EXPECT_EQ(formatNumber(0.0, 3), "0");
+    EXPECT_EQ(formatNumber(100.0, 3), "100");
+}
+
+TEST(FormatNumber, AppendsToABufferLikeFormatNumber)
+{
+    std::string line = "x=";
+    appendNumber(line, -3.25, 4);
+    line += ',';
+    appendNumber(line, 1e20, 1);
+    EXPECT_EQ(line, "x=-3.25,100000000000000000000");
+    ScopedCheckFailHandler guard;
+    EXPECT_THROW(appendNumber(line, 1.0, -1), ContractViolation);
 }
 
 TEST(FormatPercent, RendersFractionAsPercent)

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "aiwc/base/check.hh"
 #include "aiwc/common/rng.hh"
+#include "aiwc/obs/metrics.hh"
 #include "aiwc/sketch/kll.hh"
 #include "aiwc/stats/descriptive.hh"
 
@@ -92,6 +95,108 @@ TEST(Kll, QuantileLevelContract)
     s.add(1.0);
     EXPECT_THROW(s.quantile(-0.01), ContractViolation);
     EXPECT_THROW(s.quantile(1.01), ContractViolation);
+}
+
+/**
+ * quantiles() at @p levels must equal quantile() at each level bit for
+ * bit (NaN for NaN), from exactly one sorted view when any level is
+ * interior and none otherwise.
+ */
+void
+expectQuantilesMatchQuantile(const KllSketch &s,
+                             const std::vector<double> &levels)
+{
+    auto &views = obs::MetricsRegistry::global().counter(
+        "aiwc.sketch.sorted_views");
+    const std::uint64_t before = views.value();
+    const auto batch = s.quantiles(levels);
+    const bool interior =
+        s.count() > 0 && std::any_of(levels.begin(), levels.end(),
+                                     [](double q) {
+                                         return q > 0.0 && q < 1.0;
+                                     });
+    EXPECT_EQ(views.value() - before, interior ? 1u : 0u);
+    ASSERT_EQ(batch.size(), levels.size());
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+        const double one = s.quantile(levels[i]);
+        if (std::isnan(one)) {
+            EXPECT_TRUE(std::isnan(batch[i])) << "q = " << levels[i];
+            continue;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i]),
+                  std::bit_cast<std::uint64_t>(one))
+            << "q = " << levels[i] << ": " << batch[i] << " vs " << one;
+    }
+}
+
+TEST(KllSketch, QuantilesMatchQuantileBitForBit)
+{
+    // Levels with both ends, a dense interior grid, repeats, and
+    // levels that land exactly on item boundaries of small sketches.
+    std::vector<double> levels;
+    for (int i = 0; i <= 200; ++i)
+        levels.push_back(static_cast<double>(i) / 200.0);
+    std::vector<double> uneven = {0.0, 0.0, 1e-9, 0.25, 0.25, 0.5,
+                                  0.5000001, 0.9, 0.99, 0.999, 1.0, 1.0};
+
+    const KllSketch empty(16, 1);
+    KllSketch one(16, 1);
+    one.add(42.0);
+    KllSketch exact(256, 1);
+    for (double x : shuffledRange(100, 2))
+        exact.add(x);
+    ASSERT_EQ(exact.compactions(), 0u);
+    KllSketch compacted(16, 3);
+    for (double x : shuffledRange(5000, 4))
+        compacted.add(x * 0.37 - 100.0);
+    ASSERT_GT(compacted.compactions(), 0u);
+    KllSketch merged(16, 5), other(16, 6);
+    for (double x : shuffledRange(3000, 7))
+        merged.add(x);
+    for (double x : shuffledRange(1700, 8))
+        other.add(1e3 + x);
+    merged.merge(other);
+    KllSketch ties(16, 9);
+    for (double x : shuffledRange(4000, 10))
+        ties.add(std::fmod(x, 5.0));
+
+    const std::vector<std::pair<const char *, const KllSketch *>> cases = {
+        {"empty", &empty},         {"one item", &one},
+        {"uncompacted", &exact},   {"compacted", &compacted},
+        {"merged", &merged},       {"ties", &ties}};
+    for (const auto &[name, sketch] : cases) {
+        SCOPED_TRACE(name);
+        expectQuantilesMatchQuantile(*sketch, levels);
+        expectQuantilesMatchQuantile(*sketch, uneven);
+        expectQuantilesMatchQuantile(*sketch, {0.0, 1.0});
+        expectQuantilesMatchQuantile(*sketch, {0.5});
+        expectQuantilesMatchQuantile(*sketch, {});
+    }
+    EXPECT_EQ(one.quantiles(levels), std::vector<double>(levels.size(), 42.0));
+    const auto ends = compacted.quantiles(std::vector<double>{0.0, 1.0});
+    EXPECT_EQ(ends[0], compacted.min());
+    EXPECT_EQ(ends[1], compacted.max());
+}
+
+TEST(KllSketch, QuantilesRejectDescendingLevels)
+{
+    ScopedCheckFailHandler guard;
+    KllSketch s;
+    for (int i = 0; i < 10; ++i)
+        s.add(static_cast<double>(i));
+    EXPECT_THROW(s.quantiles(std::vector<double>{0.5, 0.25}),
+                 ContractViolation);
+    EXPECT_THROW(s.quantiles(std::vector<double>{0.0, 1.0, 0.0}),
+                 ContractViolation);
+    EXPECT_THROW(s.quantiles(std::vector<double>{0.5, 1.5}),
+                 ContractViolation);
+    EXPECT_THROW(s.quantiles(std::vector<double>{-0.5, 0.5}),
+                 ContractViolation);
+    // The checks hold on an empty sketch too, which never sorts.
+    const KllSketch empty;
+    EXPECT_THROW(empty.quantiles(std::vector<double>{1.0, 0.5}),
+                 ContractViolation);
+    EXPECT_NO_THROW(s.quantiles(std::vector<double>{0.5, 0.5, 0.75}));
 }
 
 TEST(Kll, GeometryContractOnConstruction)

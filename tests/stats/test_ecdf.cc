@@ -146,64 +146,6 @@ TEST(Ecdf, KsDistanceOnSharedSupportCountsTieWeights)
     EXPECT_DOUBLE_EQ(a.ksDistance(b), 0.4);
 }
 
-TEST(Ecdf, FromQuantileFunctionRoundTripsAnExactCdf)
-{
-    // Re-rendering a CDF through its own quantile function must give
-    // back (a dense sampling of) the same curve: the KS distance is
-    // bounded by the sampling granularity alone.
-    const EmpiricalCdf exact({1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 13.0});
-    const auto rendered = EmpiricalCdf::fromQuantileFunction(
-        [&](double q) { return exact.quantile(q); }, 201);
-    EXPECT_EQ(rendered.size(), 201u);
-    EXPECT_DOUBLE_EQ(rendered.quantile(0.0), 1.0);
-    EXPECT_DOUBLE_EQ(rendered.quantile(1.0), 13.0);
-    EXPECT_LE(rendered.ksDistance(exact),
-              1.0 / 200.0 + 1.0 / exact.size());
-    // curve() on the rendered CDF is usable like any other.
-    const auto curve = rendered.curve(11);
-    EXPECT_EQ(curve.size(), 11u);
-}
-
-TEST(Ecdf, FromQuantileFunctionMonotonizesWobble)
-{
-    // An approximate quantile function (a sketch) may wobble within
-    // its rank-error band; the bridge clamps it non-decreasing so the
-    // result is still a valid CDF.
-    const auto cdf = EmpiricalCdf::fromQuantileFunction(
-        [](double q) {
-            const int step = static_cast<int>(q * 100.0);
-            return 10.0 * q + (step % 2 ? -0.3 : 0.3);
-        },
-        101);
-    const auto sorted = cdf.sorted();
-    for (std::size_t i = 1; i < sorted.size(); ++i)
-        EXPECT_LE(sorted[i - 1], sorted[i]);
-}
-
-TEST(Ecdf, FromQuantileFunctionEmptySignal)
-{
-    // NaN at level 0 is the "empty distribution" signal.
-    const auto cdf = EmpiricalCdf::fromQuantileFunction(
-        [](double) { return std::nan(""); }, 11);
-    EXPECT_TRUE(cdf.empty());
-}
-
-TEST(Ecdf, FromQuantileFunctionContracts)
-{
-    ScopedCheckFailHandler guard;
-    const auto identity = [](double q) { return q; };
-    EXPECT_THROW(EmpiricalCdf::fromQuantileFunction(identity, 1),
-                 ContractViolation);
-    // NaN appearing after real values is a broken quantile function,
-    // not an empty stream.
-    EXPECT_THROW(EmpiricalCdf::fromQuantileFunction(
-                     [](double q) {
-                         return q > 0.5 ? std::nan("") : q;
-                     },
-                     11),
-                 ContractViolation);
-}
-
 // Property: for samples from U(0,1), quantile(q) ~ q.
 class EcdfUniformProperty : public ::testing::TestWithParam<double>
 {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <latch>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "aiwc/base/check.hh"
 #include "aiwc/common/parallel.hh"
+#include "aiwc/obs/metrics.hh"
 
 #include "../core/record_builder.hh"
 
@@ -68,6 +71,96 @@ TEST(StreamPipeline, SnapshotRendersEveryFigure)
     // rendered median is the exact sample median.
     EXPECT_NEAR(snap.gpu_runtime_min.quantile(0.5),
                 (600.0 + 60.0 * 24.5) / 60.0, 0.51);
+}
+
+TEST(StreamPipeline, SnapshotSortsEachSketchOnce)
+{
+    // One sorted view per rendered KLL sketch and none elsewhere: a
+    // render that went back to one sort per quantile level would add
+    // 8 x snapshot_points here, however fast the machine.
+    auto &views = obs::MetricsRegistry::global().counter(
+        "aiwc.sketch.sorted_views");
+    StreamPipeline p;
+    std::uint64_t before = views.value();
+    (void)p.snapshot();
+    EXPECT_EQ(views.value() - before, 0u);  // nothing to sort yet
+
+    for (int i = 0; i < 3000; ++i)
+        p.ingest(gpuRecord(static_cast<JobId>(i),
+                           static_cast<UserId>(i % 11),
+                           120.0 + 7.0 * (i % 113)));
+    for (int i = 3000; i < 3400; ++i)
+        p.ingest(cpuRecord(static_cast<JobId>(i), 3, 60.0 + i % 17));
+    ASSERT_GT(p.serviceTime().gpuRuntimeMin().compactions(), 0u);
+    before = views.value();
+    const auto snap = p.snapshot();
+    EXPECT_EQ(views.value() - before, 8u);
+    EXPECT_FALSE(snap.cpu_runtime_min.empty());
+    EXPECT_FALSE(snap.max_watts.empty());
+}
+
+TEST(RenderCdf, RoundTripsAnUncompactedSketch)
+{
+    // An uncompacted sketch holds every sample, so its render is a
+    // dense sampling of the exact CDF: the KS distance is bounded by
+    // the sampling granularity alone.
+    const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 13.0};
+    sketch::KllSketch s(kll_k, sketch_seed);
+    for (double x : xs)
+        s.add(x);
+    const stats::EmpiricalCdf exact(xs);
+    const auto rendered = renderCdf(s, 201);
+    EXPECT_EQ(rendered.size(), 201u);
+    EXPECT_DOUBLE_EQ(rendered.quantile(0.0), 1.0);
+    EXPECT_DOUBLE_EQ(rendered.quantile(1.0), 13.0);
+    EXPECT_LE(rendered.ksDistance(exact), 1.0 / 200.0 + 1.0 / xs.size());
+    // curve() on the rendered CDF is usable like any other.
+    EXPECT_EQ(rendered.curve(11).size(), 11u);
+}
+
+TEST(RenderCdf, SamplesAreTheSketchQuantilesInLevelOrder)
+{
+    // A compacted, merged sketch with heavy ties: the rendered samples
+    // are exactly quantiles() at i / (points - 1), already
+    // non-decreasing in level order, so no clamp or reorder moved any.
+    sketch::KllSketch a(kll_k, sketch_seed), b(kll_k, sketch_seed);
+    for (int i = 0; i < 20000; ++i)
+        (i % 3 ? a : b).add(static_cast<double>((i * 7919) % 97 / 4));
+    a.merge(b);
+    ASSERT_GT(a.compactions(), 0u);
+    constexpr int points = 101;
+    std::vector<double> levels;
+    for (int i = 0; i < points; ++i)
+        levels.push_back(static_cast<double>(i) / (points - 1));
+    const auto expected = a.quantiles(levels);
+    ASSERT_TRUE(std::is_sorted(expected.begin(), expected.end()));
+    const auto rendered = renderCdf(a, points);
+    const auto sorted = rendered.sorted();
+    ASSERT_EQ(sorted.size(), expected.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i)
+        EXPECT_EQ(sorted[i], expected[i]) << "level " << levels[i];
+}
+
+TEST(RenderCdf, EmptySketchRendersEmptyCdf)
+{
+    const sketch::KllSketch s(kll_k, sketch_seed);
+    EXPECT_TRUE(renderCdf(s).empty());
+    EXPECT_TRUE(renderCdf(s, 2).empty());
+}
+
+TEST(RenderCdf, Contracts)
+{
+    ScopedCheckFailHandler guard;
+    sketch::KllSketch s(kll_k, sketch_seed);
+    s.add(3.0);
+    s.add(5.0);
+    EXPECT_THROW(renderCdf(s, 1), ContractViolation);
+    EXPECT_THROW(renderCdf(s, 0), ContractViolation);
+    // Two levels are the minimum: the exact min and max.
+    const auto two = renderCdf(s, 2);
+    ASSERT_EQ(two.size(), 2u);
+    EXPECT_DOUBLE_EQ(two.sorted()[0], 3.0);
+    EXPECT_DOUBLE_EQ(two.sorted()[1], 5.0);
 }
 
 TEST(StreamPipeline, SnapshotOfEmptyPipelinePrints)

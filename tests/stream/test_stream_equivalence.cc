@@ -152,18 +152,15 @@ TEST(StreamEquivalence, UserSummariesMatchBatch)
         EXPECT_TRUE(close(s.avg_runtime_min, b.avg_runtime_min))
             << s.user;
         EXPECT_TRUE(close(s.avg_sm_pct, b.avg_sm_pct)) << s.user;
-        EXPECT_TRUE(close(s.avg_membw_pct, b.avg_membw_pct)) << s.user;
-        EXPECT_TRUE(close(s.avg_memsize_pct, b.avg_memsize_pct))
-            << s.user;
         EXPECT_TRUE(close(s.runtime_cov_pct, b.runtime_cov_pct))
             << s.user;
         EXPECT_TRUE(close(s.sm_cov_pct, b.sm_cov_pct)) << s.user;
     }
-    EXPECT_DOUBLE_EQ(p.userBehavior().topJobShare(0.05),
-                     batch.top5_job_share);
-    EXPECT_DOUBLE_EQ(p.userBehavior().topJobShare(0.20),
-                     batch.top20_job_share);
-    EXPECT_DOUBLE_EQ(p.userBehavior().medianJobsPerUser(),
+    // The snapshot reads the shares and the median from this helper.
+    const auto aggregates = p.userBehavior().aggregates();
+    EXPECT_DOUBLE_EQ(aggregates.top5_job_share, batch.top5_job_share);
+    EXPECT_DOUBLE_EQ(aggregates.top20_job_share, batch.top20_job_share);
+    EXPECT_DOUBLE_EQ(aggregates.median_jobs_per_user,
                      batch.median_jobs_per_user);
 }
 
@@ -190,10 +187,11 @@ TEST(StreamEquivalence, HeavyHittersFindTheTopUserExactlyEnough)
 
 TEST(StreamEquivalence, SnapshotCdfWithinKsBoundOfExactCurve)
 {
-    // Satellite regression for EmpiricalCdf::fromQuantileFunction: the
-    // snapshot's rendered CDF must stay within the sketch rank error
-    // plus the quantile-sampling granularity of the exact batch curve,
-    // measured with the ksDistance the figure tests already use.
+    // Regression for the render path, stream::renderCdf over
+    // KllSketch::quantiles: the snapshot's rendered CDF must stay
+    // within the sketch rank error plus the quantile-sampling
+    // granularity of the exact batch curve, measured with the
+    // ksDistance the figure tests already use.
     const auto &ds = trace().dataset;
     const auto batch = core::ServiceTimeAnalyzer().analyze(ds);
     const auto p = streamOver(ds);
