@@ -672,6 +672,18 @@ TEST(Determinism, ScenarioSweepIsThreadCountInvariant)
     EXPECT_EQ(csv_threaded, bin_threaded);
 }
 
+TEST(Determinism, ScenarioSweepMatchesPinnedDigest)
+{
+    // Pins the frontier bytes across commits. Unlike the one-cell
+    // golden fixture, these 15 cells queue tasks behind full machines
+    // and run energy-first consolidation passes, so a change to how
+    // the engine drains its queue or walks its running tasks must keep
+    // every placement, wait and joule.
+    const std::string json = sweepJson(synthesize(1234).dataset);
+    EXPECT_EQ(json.size(), 11556u);
+    EXPECT_EQ(fnv1a(json), 0x33bb9075a4d2af9bull);
+}
+
 TEST(Determinism, SynthesisIsThreadCountInvariant)
 {
     // Replicate fan-out must not perturb the traces themselves.
