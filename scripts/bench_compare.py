@@ -80,6 +80,8 @@ DETERMINISTIC_COUNTERS = {
     "aiwc.scenario.migrations",
     "aiwc.scenario.wakes",
     "aiwc.scenario.sla_violations",
+    "aiwc.scenario.consolidation_visits",
+    "aiwc.scenario.drain_skips",
     "aiwc.scenario.sweeps",
     "aiwc.scenario.scn_parses",
     "aiwc.scenario.scn_diagnostics",

@@ -56,6 +56,14 @@ class SchedulingPolicy
      * same way for every policy). The chosen machine may be asleep —
      * the engine pays its wake latency. Return machine = -1 to leave
      * the task queued until capacity frees up.
+     *
+     * Contract: the result is a pure function of (fleet, task). It
+     * reads no clock and no state of the policy's own beyond
+     * constructor-time tunables, so a fleet that has not changed since
+     * it refused a task refuses it again. The
+     * engine relies on that: a queued task is not re-offered until
+     * some machine has been mutated (placed on, released, woken or put
+     * to sleep) since its last refusal.
      */
     virtual Placement place(const Fleet &fleet, const Task &task) const = 0;
 

@@ -30,6 +30,8 @@ struct EngineMetrics
     obs::Counter &migrations;
     obs::Counter &wakes;
     obs::Counter &sla_violations;
+    obs::Counter &consolidation_visits;  //!< running tasks shown to consolidate
+    obs::Counter &drain_skips;  //!< pending tasks a drain did not re-offer
 
     static EngineMetrics &
     get()
@@ -41,6 +43,8 @@ struct EngineMetrics
             reg.counter("aiwc.scenario.migrations"),
             reg.counter("aiwc.scenario.wakes"),
             reg.counter("aiwc.scenario.sla_violations"),
+            reg.counter("aiwc.scenario.consolidation_visits"),
+            reg.counter("aiwc.scenario.drain_skips"),
         };
         return m;
     }
@@ -106,8 +110,10 @@ class CellSimulator
         // Policies that sleep idle machines start the fleet asleep.
         for (Machine &m : fleet_.machines) {
             const int s = policy_.idleSleepState(m);
-            if (s > 0)
+            if (s > 0) {
                 m.sleep(s, 0.0);
+                ++fleet_version_;
+            }
         }
         for (std::uint32_t i = 0; i < tasks_.size(); ++i)
             events_.push(tasks_[i].arrival, ev_arrival, {i, 0});
@@ -181,19 +187,37 @@ class CellSimulator
         drain(task.arrival);
     }
 
-    /** Try to place every pending task, FIFO order, at time `now`. */
+    /**
+     * Try to place every pending task, FIFO order, at time `now`.
+     *
+     * A drain that places nothing leaves the fleet as it found it, and
+     * place() is a pure function of (fleet, task): until the next
+     * machine mutation every task that drain kept would be refused
+     * again, so the next drain starts after them.
+     */
     void
     drain(Seconds now)
     {
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < pending_.size(); ++i) {
+        std::size_t first = 0;
+        if (refused_at_ == fleet_version_) {
+            first = refused_;
+            drain_skips_ += refused_;
+        }
+        const std::uint64_t version = fleet_version_;
+        std::size_t kept = first;
+        for (std::size_t i = first; i < pending_.size(); ++i) {
             const std::uint32_t tidx = pending_[i];
             if (!tryPlace(tidx, now))
                 pending_[kept++] = tidx;
         }
         pending_.resize(kept);
+        if (fleet_version_ == version) {
+            refused_ = kept;
+            refused_at_ = version;
+        }
     }
 
+    /** Place or wake for one task; a refusal changes nothing. */
     bool
     tryPlace(std::uint32_t tidx, Seconds now)
     {
@@ -203,18 +227,21 @@ class CellSimulator
             static_cast<std::size_t>(pick.machine) >= fleet_.machines.size())
             return false;
         Machine &m = fleet_.machines[static_cast<std::size_t>(pick.machine)];
+        if (m.awake()) {
+            if (!m.canFit(demandFor(task, pick.p_state)))
+                return false;  // tolerate a bad custom policy
+        } else if (m.waking()) {
+            return false;  // already reserved by another task
+        }
         Run &run = runs_[tidx];
         run.machine = pick.machine;
         run.p_state = pick.p_state;
         if (m.awake()) {
-            if (!m.canFit(demandFor(task, pick.p_state)))
-                return false;  // tolerate a bad custom policy
             start(tidx, m, now);
             return true;
         }
-        if (m.waking())
-            return false;  // already reserved by another task
         const Seconds ready = m.wake(now);
+        ++fleet_version_;
         ++stats_.wakes;
         run.state = Run::State::Waking;
         events_.push(ready, ev_wake_place, {tidx, 0});
@@ -228,6 +255,9 @@ class CellSimulator
         const Task &task = tasks_[tidx];
         Run &run = runs_[tidx];
         m.place(demandFor(task, run.p_state), now);
+        ++fleet_version_;
+        running_.insert(
+            std::lower_bound(running_.begin(), running_.end(), tidx), tidx);
         run.state = Run::State::Running;
         run.placed_at = now;
         run.run_start = now;
@@ -251,6 +281,7 @@ class CellSimulator
             return;
         Machine &m = fleet_.machines[static_cast<std::size_t>(run.machine)];
         m.completeWake(now);
+        ++fleet_version_;
         note(now);
         if (!m.canFit(demandFor(tasks_[tidx], run.p_state))) {
             run.state = Run::State::Pending;  // defensive; re-queue
@@ -270,6 +301,9 @@ class CellSimulator
         const Task &task = tasks_[ref.tidx];
         Machine &m = fleet_.machines[static_cast<std::size_t>(run.machine)];
         m.remove(demandFor(task, run.p_state), now);
+        ++fleet_version_;
+        running_.erase(
+            std::lower_bound(running_.begin(), running_.end(), ref.tidx));
         busy_core_seconds_ +=
             static_cast<double>(task.cores) * (now - run.placed_at);
         run.state = Run::State::Done;
@@ -299,18 +333,20 @@ class CellSimulator
         if (!pending_.empty())
             return;  // capacity may be wanted momentarily
         const int s = policy_.idleSleepState(m);
-        if (s > 0)
+        if (s > 0) {
             m.sleep(s, now);
+            ++fleet_version_;
+        }
     }
 
     void
     consolidate(Seconds now)
     {
-        std::vector<RunningView> running;
-        for (std::uint32_t i = 0; i < runs_.size(); ++i) {
+        views_.clear();
+        for (const std::uint32_t i : running_) {
             const Run &run = runs_[i];
-            if (run.state != Run::State::Running)
-                continue;
+            AIWC_DCHECK(run.state == Run::State::Running,
+                        "running set holds a task that is not running");
             RunningView rv;
             rv.task_id = i;
             rv.machine = run.machine;
@@ -324,15 +360,15 @@ class CellSimulator
                 done = 0.0;
             const double rem = run.remaining * (1.0 - done);
             rv.remaining_fraction = rem < 0.0 ? 0.0 : rem;
-            running.push_back(rv);
+            views_.push_back(rv);
         }
-        if (!running.empty()) {
-            for (const Migration &mig :
-                 policy_.consolidate(fleet_, running))
+        consolidation_visits_ += views_.size();
+        if (!views_.empty()) {
+            for (const Migration &mig : policy_.consolidate(fleet_, views_))
                 applyMigration(mig, now);
         }
         // Keep ticking while there is (or will be) work in flight.
-        const bool active = !running.empty() || !pending_.empty() ||
+        const bool active = !running_.empty() || !pending_.empty() ||
                             !events_.empty();
         if (active)
             events_.push(now + consolidationPeriod(), ev_tick, {});
@@ -369,6 +405,7 @@ class CellSimulator
 
         // Start the destination segment after the migration pause.
         dst.place(demand, now);
+        ++fleet_version_;
         run.machine = mig.to_machine;
         run.placed_at = now;
         run.run_start = now + migration_cost;
@@ -438,6 +475,8 @@ class CellSimulator
         metrics.migrations.add(stats_.migrations);
         metrics.wakes.add(stats_.wakes);
         metrics.sla_violations.add(stats_.sla_violations);
+        metrics.consolidation_visits.add(consolidation_visits_);
+        metrics.drain_skips.add(drain_skips_);
     }
 
     Fleet fleet_;
@@ -447,6 +486,15 @@ class CellSimulator
     sim::EventQueue<TaskRef> events_;
     std::vector<Run> runs_;
     std::vector<std::uint32_t> pending_;
+    std::vector<std::uint32_t> running_;  //!< Running task indices, ascending
+    std::vector<RunningView> views_;      //!< consolidate()'s snapshot buffer
+    /** Bumped on every machine mutation: what place() reads changed. */
+    std::uint64_t fleet_version_ = 0;
+    /** pending_[0, refused_) was refused by the fleet at refused_at_. */
+    std::size_t refused_ = 0;
+    std::uint64_t refused_at_ = 0;
+    std::uint64_t consolidation_visits_ = 0;
+    std::uint64_t drain_skips_ = 0;
     std::array<sketch::KllSketch, num_sla_classes> wait_sketches_;
     double busy_core_seconds_ = 0.0;
     CellStats stats_;

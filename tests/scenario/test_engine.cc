@@ -2,12 +2,16 @@
  * @file
  * Cell-engine tests: completion accounting, SLA-violation semantics
  * (including the dropped-task rule), wake/migration counting, wait
- * quantiles, and run-to-run determinism. The engine is the serial
- * deterministic core the whole sweep's byte-identity rests on.
+ * quantiles, run-to-run determinism, and the work the engine does per
+ * event. The engine is the serial deterministic core the whole sweep's
+ * byte-identity rests on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "aiwc/obs/metrics.hh"
 #include "aiwc/scenario/engine.hh"
 
 namespace aiwc::scenario
@@ -215,6 +219,96 @@ TEST(Engine, HeterogeneousFleetUsesEveryClass)
     const LoadBalancePolicy policy;
     const CellStats stats = simulateFleet(spec, steadyTasks(16), policy);
     EXPECT_EQ(stats.finished, 16u);
+}
+
+/** Greedy packing that counts its place() calls (no decision reads them). */
+class CountingGreedyPolicy : public GreedyPackPolicy
+{
+  public:
+    Placement
+    place(const Fleet &fleet, const Task &task) const override
+    {
+        ++calls;
+        return GreedyPackPolicy::place(fleet, task);
+    }
+
+    mutable std::uint64_t calls = 0;
+};
+
+/** Energy-first consolidation that records what each pass was shown. */
+class RecordingEnergyPolicy : public EnergyFirstPolicy
+{
+  public:
+    using EnergyFirstPolicy::EnergyFirstPolicy;
+
+    std::vector<Migration>
+    consolidate(const Fleet &fleet,
+                const std::vector<RunningView> &running) const override
+    {
+        visits += running.size();
+        sorted = sorted && std::is_sorted(
+            running.begin(), running.end(),
+            [](const RunningView &a, const RunningView &b) {
+                return a.task_id < b.task_id;
+            });
+        return EnergyFirstPolicy::consolidate(fleet, running);
+    }
+
+    mutable std::uint64_t visits = 0;
+    mutable bool sorted = true;
+};
+
+TEST(Engine, QueuedArrivalsDoNotRetryTheQueue)
+{
+    // One long task takes every core of a one-machine cell; N short
+    // tasks then arrive one by one and queue behind it. Nothing can
+    // change what the fleet refuses until the long task completes, so
+    // each arrival may offer only itself: O(N) place() calls in all,
+    // not the O(N^2) of re-offering the whole queue every time.
+    MachineClassSpec cls = engineClass();
+    cls.cores = 256;
+    cls.memory_gb = 1024.0;
+    normalize(cls);
+    constexpr int n = 200;
+    std::vector<Task> tasks = steadyTasks(n + 1, 1.0, 5.0);
+    tasks[0].cores = cls.cores;
+    tasks[0].expected_runtime = 10000.0;
+    for (int i = 1; i <= n; ++i) {
+        Task &t = tasks[static_cast<std::size_t>(i)];
+        t.arrival = 100.0 + i;  // after the machine has woken
+        t.cores = 1;
+    }
+
+    auto &skips =
+        obs::MetricsRegistry::global().counter("aiwc.scenario.drain_skips");
+    const std::uint64_t skips_before = skips.value();
+    const CountingGreedyPolicy counting;
+    const CellStats stats = simulateCell(cls, 1, tasks, counting);
+
+    EXPECT_EQ(stats.finished, static_cast<std::uint64_t>(n + 1));
+    EXPECT_LE(counting.calls, 3u * n);
+    EXPECT_GT(skips.value() - skips_before, 0u);
+}
+
+TEST(Engine, ConsolidationSeesRunningTasksInTaskOrder)
+{
+    // Every pass, migrations included, shows the policy its running
+    // tasks ascending by task id, and the visit counter tallies exactly
+    // what the policy was shown.
+    const MachineClassSpec cls = engineClass();
+    std::vector<Task> tasks = steadyTasks(60, 7.0, 90.0);
+    for (std::size_t i = 0; i < tasks.size(); i += 3)
+        tasks[i].expected_runtime = 600.0;
+    auto &visits = obs::MetricsRegistry::global().counter(
+        "aiwc.scenario.consolidation_visits");
+    const std::uint64_t visits_before = visits.value();
+    const RecordingEnergyPolicy policy(50.0, 0.5);
+    const CellStats stats = simulateCell(cls, 3, tasks, policy);
+    EXPECT_EQ(stats.finished, tasks.size());
+    EXPECT_GT(stats.migrations, 0u);
+    EXPECT_TRUE(policy.sorted);
+    EXPECT_GT(policy.visits, 0u);
+    EXPECT_EQ(visits.value() - visits_before, policy.visits);
 }
 
 } // namespace
