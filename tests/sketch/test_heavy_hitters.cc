@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "aiwc/base/check.hh"
+#include "aiwc/common/rng.hh"
 #include "aiwc/sketch/heavy_hitters.hh"
 
 namespace aiwc::sketch
@@ -146,6 +151,157 @@ TEST(HeavyHitters, ErrorNeverExceedsCountAfterDeepMergeTrees)
     EXPECT_DOUBLE_EQ(level.front().totalWeight(),
                      16.0 * (1.0 + 2.0 + 3.0 + 4.0 + 5.0 + 1.0 +
                              2.0 + 3.0 + 4.0 + 5.0 + 1.0 + 2.0));
+}
+
+/**
+ * The space-saving sketch as first written, on an ordered map: the
+ * behavioural model any faster layout of HeavyHitters must match bit
+ * for bit, eviction ties and merge shrinks included.
+ */
+class MapHeavyHitters
+{
+  public:
+    explicit MapHeavyHitters(std::size_t capacity) : capacity_(capacity) {}
+
+    void
+    add(std::uint64_t key, double weight)
+    {
+        auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            it->second.count += weight;
+            return;
+        }
+        if (entries_.size() < capacity_) {
+            entries_.emplace(key, Cell{weight, 0.0});
+            return;
+        }
+        auto victim = entries_.begin();
+        for (auto jt = std::next(entries_.begin()); jt != entries_.end();
+             ++jt) {
+            if (jt->second.count < victim->second.count)
+                victim = jt;
+        }
+        const double floor = victim->second.count;
+        entries_.erase(victim);
+        entries_.emplace(key, Cell{floor + weight, floor});
+    }
+
+    void
+    merge(const MapHeavyHitters &other)
+    {
+        for (const auto &[key, cell] : other.entries_) {
+            auto [it, inserted] = entries_.emplace(key, cell);
+            if (!inserted) {
+                it->second.count += cell.count;
+                it->second.error += cell.error;
+            }
+        }
+        if (entries_.size() > capacity_) {
+            std::vector<double> counts;
+            for (const auto &[key, cell] : entries_)
+                counts.push_back(cell.count);
+            std::nth_element(counts.begin(), counts.begin() + capacity_,
+                             counts.end(), std::greater<>());
+            const double threshold = counts[capacity_];
+            for (auto it = entries_.begin(); it != entries_.end();) {
+                it->second.count -= threshold;
+                if (it->second.count <= 0.0) {
+                    it = entries_.erase(it);
+                } else {
+                    it->second.error += threshold;
+                    ++it;
+                }
+            }
+        }
+        for (auto &[key, cell] : entries_)
+            cell.error = std::min(cell.error, cell.count);
+    }
+
+    std::vector<HeavyHitters::Entry>
+    topK(std::size_t k) const
+    {
+        std::vector<HeavyHitters::Entry> out;
+        for (const auto &[key, cell] : entries_)
+            out.push_back({key, cell.count, cell.error});
+        std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
+            if (a.count != b.count)
+                return a.count > b.count;
+            return a.key < b.key;
+        });
+        if (out.size() > k)
+            out.resize(k);
+        return out;
+    }
+
+  private:
+    struct Cell
+    {
+        double count = 0.0;
+        double error = 0.0;
+    };
+
+    std::size_t capacity_;
+    std::map<std::uint64_t, Cell> entries_;
+};
+
+void
+expectSameEntries(const HeavyHitters &sketch, const MapHeavyHitters &model,
+                  std::size_t capacity, int step)
+{
+    const auto got = sketch.topK(capacity);
+    const auto want = model.topK(capacity);
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].key, want[i].key) << "step " << step << " rank " << i;
+        // Bit-equal, not merely close: the same sums in the same order.
+        ASSERT_EQ(got[i].count, want[i].count) << "step " << step;
+        ASSERT_EQ(got[i].error, want[i].error) << "step " << step;
+    }
+}
+
+TEST(HeavyHitters, MatchesOrderedMapModel)
+{
+    // 200k adds over 5k keys per capacity. Weights come from a small
+    // set, zero included, so counts tie often and eviction must pick
+    // the smallest key among the minima; a side sketch fed in between
+    // merges into the main one at random points, forcing shrinks.
+    constexpr int adds = 200'000;
+    constexpr std::uint64_t keys = 5'000;
+    const double weights[] = {0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 0.25};
+    for (const std::size_t capacity : {std::size_t{1}, std::size_t{4},
+                                       std::size_t{32}}) {
+        Rng rng(0x4848u + capacity);
+        HeavyHitters sketch(capacity), side(capacity);
+        MapHeavyHitters model(capacity), side_model(capacity);
+        for (int step = 0; step < adds; ++step) {
+            // Skewed keys: a quarter of the adds go to 8 hot keys and
+            // a quarter to 100 warm ones, so heavy entries stay
+            // resident, collect error allowances much smaller than
+            // their counts, and meet again in merges.
+            const std::uint64_t tier = rng.below(4);
+            const std::uint64_t key = tier == 0   ? rng.below(8)
+                                      : tier == 1 ? rng.below(100)
+                                                  : rng.below(keys);
+            const double weight = weights[rng.below(std::size(weights))];
+            if (rng.below(5) == 0) {
+                side.add(key, weight);
+                side_model.add(key, weight);
+            } else {
+                sketch.add(key, weight);
+                model.add(key, weight);
+            }
+            if (rng.below(2'000) == 0) {
+                sketch.merge(side);
+                model.merge(side_model);
+                side = HeavyHitters(capacity);
+                side_model = MapHeavyHitters(capacity);
+                expectSameEntries(sketch, model, capacity, step);
+            }
+        }
+        sketch.merge(side);
+        model.merge(side_model);
+        expectSameEntries(sketch, model, capacity, adds);
+    }
 }
 
 TEST(HeavyHitters, ContractsOnCapacityAndMergeGeometry)
