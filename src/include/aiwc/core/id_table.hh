@@ -17,10 +17,12 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
+
+#include "aiwc/common/types.hh"
 
 namespace aiwc::core
 {
@@ -65,11 +67,28 @@ class IdTable
      */
     static IdTable fromRawIds(std::span<const std::uint32_t> raw_ids);
 
+    /** Heap bytes held: the dense -> raw vector and the index. */
+    std::size_t bytes() const;
+
   private:
+    /** One index slot; dense == invalid_id marks it empty. */
+    struct Slot
+    {
+        std::uint32_t raw = 0;
+        std::uint32_t dense = invalid_id;
+    };
+
+    /** Index of @p raw's slot, or of the empty slot where it goes. */
+    std::size_t slotOf(std::uint32_t raw) const;
+
+    /** Rebuild the index at @p slot_count slots (a power of two). */
+    void rehash(std::size_t slot_count);
+
     std::vector<std::uint32_t> raw_ids_;  //!< dense -> raw
-    // Point lookups only — never iterated, so hash order is
-    // unobservable and determinism is preserved.
-    std::unordered_map<std::uint32_t, std::uint32_t> dense_of_;
+    // raw -> dense: open addressing with linear probing, a power of
+    // two of slots kept at most half full. Point lookups only, never
+    // iterated, so slot order is unobservable.
+    std::vector<Slot> slots_;
 };
 
 } // namespace aiwc::core

@@ -16,7 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 namespace aiwc::sketch
@@ -74,7 +74,7 @@ class HeavyHitters
 
     std::size_t capacity() const { return capacity_; }
 
-    /** Heap + object footprint in bytes (node-based estimate). */
+    /** Object footprint plus the entry vector's heap capacity. */
     std::size_t bytes() const;
 
   private:
@@ -84,14 +84,18 @@ class HeavyHitters
         double error = 0.0;
     };
 
+    using Slot = std::pair<std::uint64_t, Cell>;
+
     /** Restore the error <= count invariant after a merge. */
     void clampErrors();
 
     std::size_t capacity_;
     double total_ = 0.0;
-    // Ordered map: deterministic iteration for eviction tie-breaks and
-    // snapshot serialization (det-unordered-iter rule).
-    std::map<std::uint64_t, Cell> entries_;
+    // At most capacity_ entries sorted by key, in one block: a lookup
+    // is a binary search, an eviction one contiguous scan. Key order
+    // makes the scan's first minimum the smallest key among the
+    // minima, the deterministic tie-break.
+    std::vector<Slot> entries_;
 };
 
 } // namespace aiwc::sketch

@@ -12,10 +12,11 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <vector>
 
 #include "aiwc/common/types.hh"
+#include "aiwc/core/id_table.hh"
 #include "aiwc/core/job_record.hh"
 #include "aiwc/core/user_behavior_analyzer.hh"
 #include "aiwc/sketch/heavy_hitters.hh"
@@ -38,9 +39,12 @@ class StreamingUserBehavior
     /** The Fig. 10 block of a snapshot, gathered in one table walk. */
     struct Aggregates
     {
-        /** Per-user mean runtime, minutes, in user-id order. */
+        /**
+         * Per-user mean runtime, minutes, in first-appearance order:
+         * a rendered CDF sorts it, so the order never shows.
+         */
         std::vector<double> avg_runtime_min;
-        /** Per-user mean SM utilization, percent, in user-id order. */
+        /** Per-user mean SM utilization, percent, in the same order. */
         std::vector<double> avg_sm_pct;
         /** Share of all jobs submitted by the top 5% of users. */
         double top5_job_share = 0.0;
@@ -81,8 +85,9 @@ class StreamingUserBehavior
     topUsersByGpuHours(std::size_t k) const;
 
     /**
-     * Footprint in bytes: the per-user table (O(users)) plus the
-     * heavy-hitters sketch (O(capacity)).
+     * Footprint in bytes: the object, the heap capacity of the
+     * per-user table (O(users)) and the heavy-hitters sketch
+     * (O(capacity)).
      */
     std::size_t bytes() const;
 
@@ -97,9 +102,37 @@ class StreamingUserBehavior
         void merge(const UserAccum &other);
     };
 
-    // Ordered map: summaries() iterates in user-id order, matching the
-    // batch analyzer's output order (det-unordered-iter rule).
-    std::map<UserId, UserAccum> users_;
+    /** Accumulators per chunk; a chunk is allocated whole, once. */
+    static constexpr std::size_t chunk_users = 64;
+
+    /** The accumulator of the user at dense slot @p dense. */
+    UserAccum &
+    accum(std::uint32_t dense)
+    {
+        return chunks_[dense / chunk_users][dense % chunk_users];
+    }
+
+    const UserAccum &
+    accum(std::uint32_t dense) const
+    {
+        return chunks_[dense / chunk_users][dense % chunk_users];
+    }
+
+    /**
+     * The accumulator of @p user; a user seen for the first time gets
+     * the next dense slot, holding @p initial.
+     */
+    UserAccum &accumFor(UserId user, const UserAccum &initial);
+
+    // The table is dense, in first-appearance order: users_ maps a
+    // user id to its slot d and back, chunks_ holds accumulator d.
+    // Every walk goes over slots 0..d in order, never over the hash
+    // index, so results are a pure function of the records' order.
+    // Each chunk is reserved whole when it starts, so growing the
+    // table copies no accumulator and fragments the heap less than a
+    // doubling vector.
+    core::IdTable users_;
+    std::vector<std::vector<UserAccum>> chunks_;
     sketch::HeavyHitters hours_topk_{heavy_hitter_capacity};
 };
 

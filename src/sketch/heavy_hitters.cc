@@ -18,27 +18,37 @@ HeavyHitters::add(std::uint64_t key, double weight)
 {
     AIWC_DCHECK(weight >= 0.0, "heavy-hitters weight must be non-negative");
     total_ += weight;
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), key,
+        [](const Slot &slot, std::uint64_t k) { return slot.first < k; });
+    if (it != entries_.end() && it->first == key) {
         it->second.count += weight;
         return;
     }
     if (entries_.size() < capacity_) {
-        entries_.emplace(key, Cell{weight, 0.0});
+        entries_.insert(it, Slot{key, Cell{weight, 0.0}});
         return;
     }
     // Space-saving eviction: replace the minimum-count entry, charging
-    // its count as the newcomer's error allowance. Iterating the
-    // ordered map and requiring a strict improvement makes the victim
-    // the smallest key among the minima — deterministic by value.
+    // its count as the newcomer's error allowance. Scanning in key
+    // order and requiring a strict improvement makes the victim the
+    // smallest key among the minima — deterministic by value.
     auto victim = entries_.begin();
     for (auto jt = std::next(entries_.begin()); jt != entries_.end(); ++jt) {
         if (jt->second.count < victim->second.count)
             victim = jt;
     }
     const double floor = victim->second.count;
-    entries_.erase(victim);
-    entries_.emplace(key, Cell{floor + weight, floor});
+    // Move the slots between the victim and the newcomer's place over
+    // by one, so the vector stays sorted without reallocating.
+    const Slot fresh{key, Cell{floor + weight, floor}};
+    if (victim < it) {
+        std::move(std::next(victim), it, victim);
+        *std::prev(it) = fresh;
+    } else {
+        std::move_backward(it, victim, std::next(victim));
+        *it = fresh;
+    }
 }
 
 void
@@ -47,13 +57,26 @@ HeavyHitters::merge(const HeavyHitters &other)
     AIWC_CHECK_EQ(capacity_, other.capacity_,
                   "heavy-hitters merge requires identical capacity");
     total_ += other.total_;
-    for (const auto &[key, cell] : other.entries_) {
-        auto [it, inserted] = entries_.emplace(key, cell);
-        if (!inserted) {
-            it->second.count += cell.count;
-            it->second.error += cell.error;
+    // Union of two key-sorted runs; a key in both sums its cells.
+    std::vector<Slot> merged;
+    merged.reserve(entries_.size() + other.entries_.size());
+    auto a = entries_.begin();
+    auto b = other.entries_.begin();
+    while (a != entries_.end() || b != other.entries_.end()) {
+        if (b == other.entries_.end() ||
+            (a != entries_.end() && a->first < b->first)) {
+            merged.push_back(*a++);
+        } else if (a == entries_.end() || b->first < a->first) {
+            merged.push_back(*b++);
+        } else {
+            merged.push_back(Slot{a->first,
+                                  Cell{a->second.count + b->second.count,
+                                       a->second.error + b->second.error}});
+            ++a;
+            ++b;
         }
     }
+    entries_ = std::move(merged);
     if (entries_.size() <= capacity_) {
         clampErrors();
         return;
@@ -68,15 +91,12 @@ HeavyHitters::merge(const HeavyHitters &other)
     std::nth_element(counts.begin(), counts.begin() + capacity_,
                      counts.end(), std::greater<>());
     const double threshold = counts[capacity_];
-    for (auto it = entries_.begin(); it != entries_.end();) {
-        it->second.count -= threshold;
-        if (it->second.count <= 0.0) {
-            it = entries_.erase(it);
-        } else {
-            it->second.error += threshold;
-            ++it;
-        }
+    for (auto &[key, cell] : entries_) {
+        cell.count -= threshold;
+        cell.error += threshold;
     }
+    std::erase_if(entries_,
+                  [](const Slot &slot) { return slot.second.count <= 0.0; });
     clampErrors();
 }
 
@@ -115,11 +135,7 @@ HeavyHitters::topK(std::size_t k) const
 std::size_t
 HeavyHitters::bytes() const
 {
-    // Rough node-based estimate: each map node carries the key/value
-    // pair plus three pointers and a color bit rounded to a pointer.
-    const std::size_t node =
-        sizeof(std::pair<const std::uint64_t, Cell>) + 4 * sizeof(void *);
-    return sizeof(*this) + entries_.size() * node;
+    return sizeof(*this) + entries_.capacity() * sizeof(Slot);
 }
 
 } // namespace aiwc::sketch

@@ -49,6 +49,30 @@ TEST(IdTable, DenseOfUnknownIsInvalid)
     EXPECT_EQ(IdTable().denseOf(0), invalid_id);
 }
 
+TEST(IdTable, LookupsSurviveIndexGrowth)
+{
+    // Enough ids to rehash the index many times, drawn so that many
+    // share low bits (multiples of 1024) or sit next to each other,
+    // plus the extremes of the id range; every one keeps its dense id
+    // through every growth, and ids never interned stay unknown.
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t i = 0; i < 4000; ++i)
+        ids.push_back(i % 2 == 0 ? i * 1024u : 0x7fff0000u + i);
+    ids.push_back(0xffffffffu);
+    ids.push_back(1u);
+    IdTable table;
+    for (std::size_t d = 0; d < ids.size(); ++d)
+        ASSERT_EQ(table.intern(ids[d]), d) << "raw " << ids[d];
+    for (std::size_t d = 0; d < ids.size(); ++d) {
+        EXPECT_EQ(table.denseOf(ids[d]), d);
+        EXPECT_EQ(table.intern(ids[d]), d);
+    }
+    EXPECT_EQ(table.size(), ids.size());
+    EXPECT_EQ(table.denseOf(3u * 1024u), invalid_id);
+    EXPECT_EQ(table.denseOf(0x7fff0000u), invalid_id);
+    EXPECT_GE(table.bytes(), ids.size() * 3 * sizeof(std::uint32_t));
+}
+
 TEST(IdTable, RawIdsRoundTripThroughFromRawIds)
 {
     IdTable table;
