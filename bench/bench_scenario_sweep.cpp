@@ -50,18 +50,6 @@ machine class:
     Number of GPUs: 2
     GPU TDP: 250
 }
-task class:
-{
-    Name: bench-task
-    Start time: 0
-    End time: 600000
-    Inter arrival: 4000
-    Expected runtime: 120000
-    Memory: 2048
-    Number of cores: 2
-    Task type: AI
-    Seed: 11
-}
 )";
 
 scenario::FrontierReport

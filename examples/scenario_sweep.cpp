@@ -85,8 +85,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::cout << "scenario '" << parsed.spec.name << "': "
-              << parsed.spec.machines.size() << " machine classes, "
-              << parsed.spec.tasks.size() << " task classes\n";
+              << parsed.spec.machines.size() << " machine classes\n";
 
     // One synthesized study, then the two trust-boundary round trips
     // the sweep must agree across: CSV text and binary .aiwt bytes.

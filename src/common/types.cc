@@ -54,28 +54,4 @@ toString(Resource r)
     return "?";
 }
 
-const char *
-toString(SlaClass c)
-{
-    switch (c) {
-      case SlaClass::LatencySensitive: return "latency-sensitive";
-      case SlaClass::Batch: return "batch";
-      case SlaClass::Scavenger: return "scavenger";
-    }
-    return "?";
-}
-
-const char *
-toString(TaskType t)
-{
-    switch (t) {
-      case TaskType::Web: return "WEB";
-      case TaskType::Ai: return "AI";
-      case TaskType::Crypto: return "CRYPTO";
-      case TaskType::Stream: return "STREAM";
-      case TaskType::Hpc: return "HPC";
-    }
-    return "?";
-}
-
 } // namespace aiwc

@@ -45,41 +45,11 @@ IdTable::intern(std::uint32_t raw)
 }
 
 std::uint32_t
-IdTable::denseOf(std::uint32_t raw) const
-{
-    return slots_.empty() ? invalid_id : slots_[slotOf(raw)].dense;
-}
-
-std::uint32_t
 IdTable::rawOf(std::uint32_t dense) const
 {
     AIWC_CHECK(dense < raw_ids_.size(), "dense id ", dense,
                " out of range (", raw_ids_.size(), " interned)");
     return raw_ids_[dense];
-}
-
-std::vector<std::uint32_t>
-IdTable::mergeFrom(const IdTable &other)
-{
-    std::vector<std::uint32_t> remap;
-    remap.reserve(other.raw_ids_.size());
-    for (const std::uint32_t raw : other.raw_ids_)
-        remap.push_back(intern(raw));
-    return remap;
-}
-
-IdTable
-IdTable::fromRawIds(std::span<const std::uint32_t> raw_ids)
-{
-    IdTable table;
-    for (const std::uint32_t raw : raw_ids) {
-        const std::uint32_t before =
-            static_cast<std::uint32_t>(table.size());
-        const std::uint32_t dense = table.intern(raw);
-        AIWC_CHECK(dense == before, "duplicate raw id ", raw,
-                   " in dense id table");
-    }
-    return table;
 }
 
 std::size_t

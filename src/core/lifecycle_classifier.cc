@@ -1,5 +1,7 @@
 #include "aiwc/core/lifecycle_classifier.hh"
 
+#include <array>
+
 namespace aiwc::core
 {
 
@@ -49,46 +51,6 @@ LifecycleClassifier::classify(const JobRecord &job) const
     // Hardware losses are <0.5% of jobs (Sec. II); like the paper,
     // classifyTerminal folds them into the failed/development bucket.
     return classifyTerminal(job.terminal);
-}
-
-std::array<double, num_lifecycles>
-LifecycleClassifier::jobMix(const Dataset &dataset) const
-{
-    // Count straight off the terminal column: one byte load and one
-    // table lookup per filtered row.
-    std::array<double, num_lifecycles> mix{};
-    const auto idx = dataset.gpuJobIndices();
-    if (idx.empty())
-        return mix;
-    const std::span<const std::uint8_t> terminal =
-        dataset.columns().terminals();
-    for (const std::uint32_t r : idx)
-        mix[static_cast<std::size_t>(terminal_table[terminal[r]])] += 1.0;
-    for (auto &m : mix)
-        m /= static_cast<double>(idx.size());
-    return mix;
-}
-
-std::array<double, num_lifecycles>
-LifecycleClassifier::gpuHourMix(const Dataset &dataset) const
-{
-    // Serial accumulation in row order, matching the row walk's
-    // summation order bit-for-bit.
-    std::array<double, num_lifecycles> mix{};
-    double total = 0.0;
-    const ColumnTable &cols = dataset.columns();
-    const std::span<const std::uint8_t> terminal = cols.terminals();
-    const std::span<const double> hours = cols.gpuHours();
-    for (const std::uint32_t r : dataset.gpuJobIndices()) {
-        mix[static_cast<std::size_t>(terminal_table[terminal[r]])] +=
-            hours[r];
-        total += hours[r];
-    }
-    if (total > 0.0) {
-        for (auto &m : mix)
-            m /= total;
-    }
-    return mix;
 }
 
 double

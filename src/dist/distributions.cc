@@ -2,53 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "aiwc/base/logging.hh"
 
 namespace aiwc::dist
 {
-
-double
-normalQuantile(double q)
-{
-    AIWC_ASSERT(q > 0.0 && q < 1.0, "normal quantile needs q in (0,1)");
-
-    // Acklam's rational approximation; relative error < 1.15e-9.
-    static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                               -2.759285104469687e+02, 1.383577518672690e+02,
-                               -3.066479806614716e+01, 2.506628277459239e+00};
-    static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                               -1.556989798598866e+02, 6.680131188771972e+01,
-                               -1.328068155288572e+01};
-    static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                               -2.400758277161838e+00, -2.549732539343734e+00,
-                               4.374664141464968e+00, 2.938163982698783e+00};
-    static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                               2.445134137142996e+00, 3.754408661907416e+00};
-
-    constexpr double p_low = 0.02425;
-    double x = 0.0;
-    if (q < p_low) {
-        const double u = std::sqrt(-2.0 * std::log(q));
-        x = (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u +
-             c[5]) /
-            ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0);
-    } else if (q <= 1.0 - p_low) {
-        const double u = q - 0.5;
-        const double r = u * u;
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r +
-             a[5]) * u /
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r +
-             1.0);
-    } else {
-        const double u = std::sqrt(-2.0 * std::log(1.0 - q));
-        x = -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u +
-              c[5]) /
-            ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0);
-    }
-    return x;
-}
 
 double
 sampleGamma(Rng &rng, double shape)
@@ -78,28 +36,6 @@ sampleGamma(Rng &rng, double shape)
     }
 }
 
-Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi)
-{
-    AIWC_ASSERT(hi >= lo, "uniform bounds inverted");
-}
-
-double
-Uniform::sample(Rng &rng) const
-{
-    return rng.uniform(lo_, hi_);
-}
-
-Exponential::Exponential(double rate) : rate_(rate)
-{
-    AIWC_ASSERT(rate > 0.0, "exponential rate must be positive");
-}
-
-double
-Exponential::sample(Rng &rng) const
-{
-    return rng.exponential(rate_);
-}
-
 LogNormal::LogNormal(double median, double sigma)
     : mu_(std::log(median)), sigma_(sigma)
 {
@@ -107,73 +43,10 @@ LogNormal::LogNormal(double median, double sigma)
     AIWC_ASSERT(sigma >= 0.0, "log-normal sigma must be non-negative");
 }
 
-LogNormal
-LogNormal::fromQuantiles(double q1, double v1, double q2, double v2)
-{
-    AIWC_ASSERT(q1 != q2, "quantile levels must differ");
-    AIWC_ASSERT(v1 > 0.0 && v2 > 0.0, "quantile values must be positive");
-    const double z1 = normalQuantile(q1);
-    const double z2 = normalQuantile(q2);
-    const double sigma = (std::log(v2) - std::log(v1)) / (z2 - z1);
-    AIWC_ASSERT(sigma >= 0.0, "quantiles imply negative sigma");
-    const double mu = std::log(v1) - sigma * z1;
-    return LogNormal(std::exp(mu), sigma);
-}
-
 double
 LogNormal::sample(Rng &rng) const
 {
     return std::exp(mu_ + sigma_ * rng.gaussian());
-}
-
-double
-LogNormal::mean() const
-{
-    return std::exp(mu_ + 0.5 * sigma_ * sigma_);
-}
-
-double
-LogNormal::quantile(double q) const
-{
-    return std::exp(mu_ + sigma_ * normalQuantile(q));
-}
-
-Pareto::Pareto(double x_min, double alpha) : x_min_(x_min), alpha_(alpha)
-{
-    AIWC_ASSERT(x_min > 0.0 && alpha > 0.0, "pareto parameters invalid");
-}
-
-double
-Pareto::sample(Rng &rng) const
-{
-    const double u = std::max(1.0 - rng.uniform(), 1e-300);
-    return x_min_ * std::pow(u, -1.0 / alpha_);
-}
-
-double
-Pareto::mean() const
-{
-    if (alpha_ <= 1.0)
-        return std::numeric_limits<double>::infinity();
-    return alpha_ * x_min_ / (alpha_ - 1.0);
-}
-
-Weibull::Weibull(double shape, double scale) : shape_(shape), scale_(scale)
-{
-    AIWC_ASSERT(shape > 0.0 && scale > 0.0, "weibull parameters invalid");
-}
-
-double
-Weibull::sample(Rng &rng) const
-{
-    const double u = std::max(1.0 - rng.uniform(), 1e-300);
-    return scale_ * std::pow(-std::log(u), 1.0 / shape_);
-}
-
-double
-Weibull::mean() const
-{
-    return scale_ * std::tgamma(1.0 + 1.0 / shape_);
 }
 
 Beta::Beta(double a, double b) : a_(a), b_(b)
@@ -196,74 +69,6 @@ Beta::sample(Rng &rng) const
     const double y = sampleGamma(rng, b_);
     const double s = x + y;
     return s > 0.0 ? x / s : 0.5;
-}
-
-Mixture::Mixture(std::vector<std::pair<double, DistPtr>> components)
-    : total_weight_(0.0)
-{
-    AIWC_ASSERT(!components.empty(), "mixture needs components");
-    cumulative_.reserve(components.size());
-    components_.reserve(components.size());
-    for (auto &[w, d] : components) {
-        AIWC_ASSERT(w >= 0.0, "mixture weight must be non-negative");
-        AIWC_ASSERT(d != nullptr, "mixture component is null");
-        total_weight_ += w;
-        cumulative_.push_back(total_weight_);
-        components_.push_back(std::move(d));
-    }
-    AIWC_ASSERT(total_weight_ > 0.0, "mixture has zero total weight");
-}
-
-double
-Mixture::sample(Rng &rng) const
-{
-    const double u = rng.uniform() * total_weight_;
-    const auto it =
-        std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-    const auto idx = std::min<std::size_t>(
-        static_cast<std::size_t>(it - cumulative_.begin()),
-        components_.size() - 1);
-    return components_[idx]->sample(rng);
-}
-
-double
-Mixture::mean() const
-{
-    double acc = 0.0;
-    double prev = 0.0;
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        const double w = cumulative_[i] - prev;
-        prev = cumulative_[i];
-        acc += w * components_[i]->mean();
-    }
-    return acc / total_weight_;
-}
-
-Truncated::Truncated(DistPtr inner, double lo, double hi)
-    : inner_(std::move(inner)), lo_(lo), hi_(hi)
-{
-    AIWC_ASSERT(inner_ != nullptr, "truncated inner is null");
-    AIWC_ASSERT(hi >= lo, "truncation bounds inverted");
-}
-
-double
-Truncated::sample(Rng &rng) const
-{
-    constexpr int max_rejections = 64;
-    for (int i = 0; i < max_rejections; ++i) {
-        const double x = inner_->sample(rng);
-        if (x >= lo_ && x <= hi_)
-            return x;
-    }
-    return std::clamp(inner_->sample(rng), lo_, hi_);
-}
-
-double
-Truncated::mean() const
-{
-    // Approximate: the clamped inner mean. Exact moments of arbitrary
-    // truncations are not needed by any consumer.
-    return std::clamp(inner_->mean(), lo_, hi_);
 }
 
 } // namespace aiwc::dist

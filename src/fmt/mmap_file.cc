@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define AIWC_HAVE_MMAP 1
@@ -20,49 +19,10 @@ namespace aiwc::fmt
 
 MmapFile::~MmapFile()
 {
-    reset();
-}
-
-MmapFile::MmapFile(MmapFile &&other) noexcept
-{
-    *this = std::move(other);
-}
-
-MmapFile &
-MmapFile::operator=(MmapFile &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    reset();
-    bytes_ = other.bytes_;
-    map_addr_ = other.map_addr_;
-    map_len_ = other.map_len_;
-    owned_ = std::move(other.owned_);
-    valid_ = other.valid_;
-    error_ = std::move(other.error_);
-    other.map_addr_ = nullptr;
-    other.map_len_ = 0;
-    other.bytes_ = {};
-    other.valid_ = false;
-    // The owned buffer may have moved; re-point the span when the
-    // fallback path was in use.
-    if (map_addr_ == nullptr && !owned_.empty())
-        bytes_ = owned_;
-    return *this;
-}
-
-void
-MmapFile::reset() noexcept
-{
 #if AIWC_HAVE_MMAP
     if (map_addr_ != nullptr)
         ::munmap(map_addr_, map_len_);
 #endif
-    map_addr_ = nullptr;
-    map_len_ = 0;
-    owned_.clear();
-    bytes_ = {};
-    valid_ = false;
 }
 
 namespace
@@ -91,43 +51,40 @@ readAll(const std::string &path, std::vector<std::uint8_t> &out,
 
 } // namespace
 
-MmapFile
-MmapFile::open(const std::string &path)
+MmapFile::MmapFile(const std::string &path)
 {
-    MmapFile file;
 #if AIWC_HAVE_MMAP
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
-        file.error_ = path + ": " + std::strerror(errno);
-        return file;
+        error_ = path + ": " + std::strerror(errno);
+        return;
     }
     struct stat st{};
     if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-        file.error_ = path + ": not a regular file";
+        error_ = path + ": not a regular file";
         ::close(fd);
-        return file;
+        return;
     }
     const auto len = static_cast<std::size_t>(st.st_size);
     if (len == 0) {
         ::close(fd);
-        file.valid_ = true;  // empty file, empty span
-        return file;
+        valid_ = true;  // empty file, empty span
+        return;
     }
     void *addr = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
     ::close(fd);  // the mapping keeps its own reference
     if (addr != MAP_FAILED) {
-        file.map_addr_ = addr;
-        file.map_len_ = len;
-        file.bytes_ = {static_cast<const std::uint8_t *>(addr), len};
-        file.valid_ = true;
-        return file;
+        map_addr_ = addr;
+        map_len_ = len;
+        bytes_ = {static_cast<const std::uint8_t *>(addr), len};
+        valid_ = true;
+        return;
     }
 #endif
-    if (!readAll(path, file.owned_, file.error_))
-        return file;
-    file.bytes_ = file.owned_;
-    file.valid_ = true;
-    return file;
+    if (!readAll(path, owned_, error_))
+        return;
+    bytes_ = owned_;
+    valid_ = true;
 }
 
 } // namespace aiwc::fmt

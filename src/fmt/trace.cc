@@ -473,7 +473,7 @@ writeTraceFile(const std::string &path, const core::Dataset &dataset,
 TraceLoadResult
 loadTraceFile(const std::string &path)
 {
-    const MmapFile file = MmapFile::open(path);
+    const MmapFile file(path);
     if (!file.valid()) {
         TraceLoadResult result;
         result.status = TraceStatus::IoError;

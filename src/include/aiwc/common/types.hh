@@ -148,8 +148,5 @@ enum class TaskType : std::uint8_t
 /** Number of TaskType values, for array-of-enum indexing. */
 inline constexpr int num_task_types = 5;
 
-const char *toString(SlaClass c);
-const char *toString(TaskType t);
-
 } // namespace aiwc
 

@@ -9,10 +9,7 @@
  * map lookups, and the on-disk trace format ships one small id table
  * plus a u32 column. Dense ids are deterministic: they depend only on
  * the order rows were appended, never on hash iteration order, so the
- * same trace always interns to the same table. Merging two tables
- * (shard merges) preserves every dense id already assigned in the
- * receiving table and appends the donor's unseen raw ids in the
- * donor's dense order — ids are stable under merge.
+ * same trace always interns to the same table.
  */
 
 #pragma once
@@ -37,9 +34,6 @@ class IdTable
      */
     std::uint32_t intern(std::uint32_t raw);
 
-    /** Dense id of @p raw, or invalid_id when never interned. */
-    std::uint32_t denseOf(std::uint32_t raw) const;
-
     /** Raw id behind dense id @p dense (AIWC_CHECK: in range). */
     std::uint32_t rawOf(std::uint32_t dense) const;
 
@@ -50,22 +44,6 @@ class IdTable
 
     /** The dense -> raw mapping, in dense-id order. */
     std::span<const std::uint32_t> rawIds() const { return raw_ids_; }
-
-    /**
-     * Union-merge: intern every id of @p other (in other's dense
-     * order) into this table. Existing dense ids in this table are
-     * untouched; other's unseen ids append. @return the remap vector
-     * m with m[other_dense] == this_dense for every id of other.
-     */
-    std::vector<std::uint32_t> mergeFrom(const IdTable &other);
-
-    /**
-     * Rebuild a table from a dense -> raw vector (the on-disk
-     * representation). Duplicate raw ids make the table ill-formed;
-     * the caller must validate untrusted input first (the fmt reader
-     * does) — here a duplicate is an AIWC_CHECK violation.
-     */
-    static IdTable fromRawIds(std::span<const std::uint32_t> raw_ids);
 
     /** Heap bytes held: the dense -> raw vector and the index. */
     std::size_t bytes() const;

@@ -17,8 +17,6 @@
 
 #pragma once
 
-#include <array>
-
 #include "aiwc/core/dataset.hh"
 
 namespace aiwc::core
@@ -30,14 +28,6 @@ class LifecycleClassifier
   public:
     /** Infer the lifecycle class of one job. */
     Lifecycle classify(const JobRecord &job) const;
-
-    /** Fraction of (filtered GPU) jobs per inferred class (Fig. 15a). */
-    std::array<double, num_lifecycles>
-    jobMix(const Dataset &dataset) const;
-
-    /** Fraction of GPU-hours per inferred class (Fig. 15b). */
-    std::array<double, num_lifecycles>
-    gpuHourMix(const Dataset &dataset) const;
 
     /**
      * Agreement with the generator ground truth, for validation only

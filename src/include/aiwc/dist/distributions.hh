@@ -1,77 +1,19 @@
 /**
  * @file
- * Parametric sampling distributions for workload synthesis.
+ * The sampling distributions of workload synthesis.
  *
- * The calibration profile (workload/calibration.hh) expresses every
- * paper-published marginal as one of these distributions; generators
- * sample them through the common Distribution interface so calibration
- * choices stay data, not code.
+ * The calibration profile (workload/calibration.hh) fits the published
+ * marginals with two families: a log-normal for durations and a beta
+ * for utilization fractions. Generators build them on the spot from
+ * calibration numbers and draw from them directly.
  */
 
 #pragma once
-
-#include <cmath>
-#include <limits>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "aiwc/common/rng.hh"
 
 namespace aiwc::dist
 {
-
-/** A real-valued sampling distribution. */
-class Distribution
-{
-  public:
-    virtual ~Distribution() = default;
-
-    /** Draw one sample. */
-    virtual double sample(Rng &rng) const = 0;
-
-    /** Theoretical mean (approximate for composed distributions). */
-    virtual double mean() const = 0;
-};
-
-/** Shared handle used by composition (Mixture/Truncated). */
-using DistPtr = std::shared_ptr<const Distribution>;
-
-/** Degenerate distribution: always returns the same value. */
-class PointMass : public Distribution
-{
-  public:
-    explicit PointMass(double value) : value_(value) {}
-    double sample(Rng &) const override { return value_; }
-    double mean() const override { return value_; }
-
-  private:
-    double value_;
-};
-
-/** Uniform over [lo, hi). */
-class Uniform : public Distribution
-{
-  public:
-    Uniform(double lo, double hi);
-    double sample(Rng &rng) const override;
-    double mean() const override { return 0.5 * (lo_ + hi_); }
-
-  private:
-    double lo_, hi_;
-};
-
-/** Exponential with the given rate. */
-class Exponential : public Distribution
-{
-  public:
-    explicit Exponential(double rate);
-    double sample(Rng &rng) const override;
-    double mean() const override { return 1.0 / rate_; }
-
-  private:
-    double rate_;
-};
 
 /**
  * Log-normal, parameterized by the *median* and the log-space sigma —
@@ -79,61 +21,22 @@ class Exponential : public Distribution
  * since quantile ratios pin sigma directly:
  * sigma = ln(p75/p50) / z(0.75).
  */
-class LogNormal : public Distribution
+class LogNormal
 {
   public:
     LogNormal(double median, double sigma);
 
-    /**
-     * Solve a LogNormal from two quantiles, e.g.
-     * fromQuantiles(0.5, 30min, 0.75, 300min) for the paper's GPU-job
-     * runtimes. Quantile levels must differ.
-     */
-    static LogNormal fromQuantiles(double q1, double v1,
-                                   double q2, double v2);
-
-    double sample(Rng &rng) const override;
-    double mean() const override;
-
-    double median() const { return std::exp(mu_); }
-    double sigma() const { return sigma_; }
-
-    /** Quantile function (exact). */
-    double quantile(double q) const;
+    double sample(Rng &rng) const;
 
   private:
     double mu_, sigma_;
-};
-
-/** Pareto (Lomax-free form): x_m * U^(-1/alpha), heavy-tailed. */
-class Pareto : public Distribution
-{
-  public:
-    Pareto(double x_min, double alpha);
-    double sample(Rng &rng) const override;
-    double mean() const override;
-
-  private:
-    double x_min_, alpha_;
-};
-
-/** Weibull with shape k and scale lambda. */
-class Weibull : public Distribution
-{
-  public:
-    Weibull(double shape, double scale);
-    double sample(Rng &rng) const override;
-    double mean() const override;
-
-  private:
-    double shape_, scale_;
 };
 
 /**
  * Beta(a, b), sampled via two Marsaglia-Tsang gamma draws. Used for
  * utilization fractions in [0, 1].
  */
-class Beta : public Distribution
+class Beta
 {
   public:
     Beta(double a, double b);
@@ -144,59 +47,13 @@ class Beta : public Distribution
      */
     static Beta fromMean(double mean, double kappa);
 
-    double sample(Rng &rng) const override;
-    double mean() const override { return a_ / (a_ + b_); }
+    double sample(Rng &rng) const;
 
   private:
     double a_, b_;
 };
 
-/** Categorical mixture of component distributions. */
-class Mixture : public Distribution
-{
-  public:
-    /** Component weights need not be normalized; all must be >= 0. */
-    Mixture(std::vector<std::pair<double, DistPtr>> components);
-
-    double sample(Rng &rng) const override;
-    double mean() const override;
-
-  private:
-    std::vector<double> cumulative_;
-    std::vector<DistPtr> components_;
-    double total_weight_;
-};
-
-/**
- * Rejection-truncates an inner distribution into [lo, hi]; falls back
- * to clamping after a bounded number of rejections so sampling always
- * terminates.
- */
-class Truncated : public Distribution
-{
-  public:
-    Truncated(DistPtr inner, double lo, double hi);
-    double sample(Rng &rng) const override;
-    double mean() const override;
-
-  private:
-    DistPtr inner_;
-    double lo_, hi_;
-};
-
-/** Convenience: wrap any concrete distribution into a DistPtr. */
-template <typename D, typename... Args>
-DistPtr
-make(Args &&...args)
-{
-    return std::make_shared<const D>(std::forward<Args>(args)...);
-}
-
-/** Standard normal quantile (Acklam's rational approximation). */
-double normalQuantile(double q);
-
 /** Gamma(shape, 1) sample via Marsaglia-Tsang; shape > 0. */
 double sampleGamma(Rng &rng, double shape);
 
 } // namespace aiwc::dist
-

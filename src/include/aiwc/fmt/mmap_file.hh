@@ -24,20 +24,16 @@ namespace aiwc::fmt
 class MmapFile
 {
   public:
-    MmapFile() = default;
-    ~MmapFile();
-
-    MmapFile(MmapFile &&other) noexcept;
-    MmapFile &operator=(MmapFile &&other) noexcept;
-    MmapFile(const MmapFile &) = delete;
-    MmapFile &operator=(const MmapFile &) = delete;
-
     /**
-     * Map (or read) @p path. On failure returns an invalid MmapFile;
+     * Map (or read) @p path. On failure the file is invalid and
      * error() holds a one-line reason. An empty file opens valid with
      * an empty span.
      */
-    static MmapFile open(const std::string &path);
+    explicit MmapFile(const std::string &path);
+    ~MmapFile();
+
+    MmapFile(MmapFile &&) = delete;
+    MmapFile &operator=(MmapFile &&) = delete;
 
     bool valid() const { return valid_; }
     const std::string &error() const { return error_; }
@@ -46,8 +42,6 @@ class MmapFile
     std::span<const std::uint8_t> bytes() const { return bytes_; }
 
   private:
-    void reset() noexcept;
-
     std::span<const std::uint8_t> bytes_;
     void *map_addr_ = nullptr;   //!< non-null iff backed by mmap
     std::size_t map_len_ = 0;

@@ -63,9 +63,4 @@ CellStats simulateCell(const MachineClassSpec &cls, int count,
                        const std::vector<Task> &tasks,
                        const SchedulingPolicy &policy);
 
-/** Simulate a whole heterogeneous fleet (all classes in the spec). */
-CellStats simulateFleet(const ScenarioSpec &spec,
-                        const std::vector<Task> &tasks,
-                        const SchedulingPolicy &policy);
-
 } // namespace aiwc::scenario

@@ -115,9 +115,6 @@ struct Fleet
 {
     std::vector<Machine> machines;
 
-    /** Build one Machine per spec count entry, ids 0..n-1 in order. */
-    static Fleet fromSpec(const ScenarioSpec &spec);
-
     /** Build a homogeneous fleet of `count` machines of one class. */
     static Fleet homogeneous(const MachineClassSpec &cls, int count);
 

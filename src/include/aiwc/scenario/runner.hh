@@ -9,12 +9,13 @@
  * and shared read-only across cells; policies are stateless and shared
  * the same way.
  *
- * Each cell also gets a planner overlay: the existing power-cap /
- * co-location / multi-tier planners run over the cell's
- * GPU-accelerated record slice (the records the mix tagged WEB/... are
- * filtered down to AI / STREAM / HPC types), with cap levels scaled to
- * the machine class's GPU TDP — the paper's fixed what-ifs evaluated
- * per scenario cell.
+ * Each cell of a GPU machine class also gets a planner overlay: the
+ * existing power-cap / co-location / multi-tier planners run over the
+ * cell's GPU-accelerated record slice (the records the mix tagged
+ * WEB/... are filtered down to AI / STREAM / HPC types), with cap
+ * levels scaled to the machine class's GPU TDP — the paper's fixed
+ * what-ifs evaluated per scenario cell. A slice of fewer than 10
+ * records gets none.
  */
 
 #pragma once
@@ -39,9 +40,6 @@ struct SweepOptions
      * machines so one oversized class cannot dwarf the sweep.
      */
     int machines_per_cell = 8;
-    /** Compute planner overlays (needs >= min_overlay_gpu_jobs). */
-    bool planner_overlays = true;
-    std::size_t min_overlay_gpu_jobs = 10;
 };
 
 class ScenarioRunner
@@ -58,15 +56,6 @@ class ScenarioRunner
     FrontierReport
     sweep(const core::Dataset &dataset, const std::vector<TaskMix> &mixes,
           const std::vector<const SchedulingPolicy *> &policies) const;
-
-    /**
-     * Sweep using the spec's own synthetic task classes instead of a
-     * dataset: one shared task stream, no planner overlays, same cell
-     * layout with the mix axis collapsed to "spec".
-     */
-    FrontierReport
-    sweepSynthetic(const std::vector<const SchedulingPolicy *> &policies)
-        const;
 
   private:
     ScenarioSpec spec_;

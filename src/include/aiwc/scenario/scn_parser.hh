@@ -23,30 +23,17 @@
  *         GPU TDP: 300                  # W per busy GPU
  *         GPU idle watts: 25
  *     }
- *     task class:
- *     {
- *         Name: web-front
- *         Start time: 60000             # ms
- *         End time: 600000              # ms
- *         Inter arrival: 8000           # ms, mean gap
- *         Expected runtime: 1200000     # ms at the reference core
- *         Memory: 8192                  # MB
- *         Number of cores: 1
- *         VM type: LINUX                # accepted and ignored
- *         GPU enabled: no
- *         SLA type: SLA0                # SLA0 | SLA1 | SLA2 | SLA3
- *         CPU type: X86                 # preferred ISA
- *         Task type: WEB                # WEB | AI | CRYPTO | STREAM | HPC
- *         Seed: 726775
- *     }
+ *
+ * A `task class` block, the cloudsim-eec arrival-stream form, is read
+ * past whole, `{ ... }` included, with one diagnostic on its header
+ * line: the sweep draws its tasks from a dataset.
  *
  * Totality contract (the `fmt`/`svc` hostile-decoder convention): any
  * byte sequence — truncated, reordered, binary garbage — produces a
  * ScnParseResult, never an AIWC_CHECK abort. Malformed values fall back
  * to defaults with a line-numbered diagnostic, every parsed class is
  * normalize()d, and the worst possible outcome is an empty spec plus
- * diagnostics. SLA0 maps to latency-sensitive, SLA1/SLA2 to batch,
- * SLA3 to scavenger (class names are also accepted directly).
+ * diagnostics.
  */
 
 #pragma once

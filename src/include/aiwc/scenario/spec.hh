@@ -1,15 +1,15 @@
 /**
  * @file
- * Declarative machine classes and task classes for heterogeneous,
- * energy-aware cluster scenarios.
+ * Declarative machine classes for heterogeneous, energy-aware cluster
+ * scenarios.
  *
  * A scenario generalizes the single homogeneous Supercloud topology of
  * `aiwc::sim` into a catalog of *machine classes* — core count, memory,
  * CPU ISA tag, GPU presence, and per-component P/S/C power states with
- * state-transition latencies and per-state wattage — plus *task
- * classes* describing synthetic arrival streams. Specs are loaded from
- * checked-in `.scn` text files under `scenarios/` (see scn_parser.hh
- * for the grammar) or built programmatically; `normalize()` makes any spec safe
+ * state-transition latencies and per-state wattage. The tasks come
+ * from a dataset (see workload.hh). Specs are loaded from checked-in
+ * `.scn` text files under `scenarios/` (see scn_parser.hh for the
+ * grammar) or built programmatically; `normalize()` makes any spec safe
  * to simulate, which is what lets the parser be total.
  */
 
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "aiwc/common/types.hh"
 #include "aiwc/sim/cluster_factory.hh"
 
 namespace aiwc::scenario
@@ -36,8 +35,6 @@ enum class CpuIsa : std::uint8_t
 
 /** Number of CpuIsa values, for array-of-enum indexing. */
 inline constexpr int num_cpu_isas = 4;
-
-const char *toString(CpuIsa isa);
 
 /**
  * One machine class: N identical machines with a power-state model.
@@ -100,46 +97,12 @@ struct MachineClassSpec
  */
 void normalize(MachineClassSpec &m);
 
-/**
- * One synthetic task class: a deterministic arrival stream of tasks of
- * one type/SLA, in the cloudsim-eec style. Times are seconds.
- */
-struct TaskClassSpec
-{
-    std::string name;
-    TaskType type = TaskType::Ai;
-    SlaClass sla = SlaClass::Batch;
-    CpuIsa cpu = CpuIsa::X86;       //!< preferred ISA
-    Seconds start_time = 0.0;
-    Seconds end_time = 3600.0;
-    Seconds inter_arrival = 60.0;   //!< mean gap between arrivals
-    Seconds expected_runtime = 600.0;
-    double memory_gb = 4.0;
-    int cores = 1;
-    bool gpu = false;
-    std::uint64_t seed = 0;         //!< jitter stream for this class
-};
-
-/** Clamp a task class into simulatable shape (see normalize above). */
-void normalize(TaskClassSpec &t);
-
-/** A full scenario: machine classes plus task classes. */
+/** A full scenario: a named catalog of machine classes. */
 struct ScenarioSpec
 {
     std::string name = "scenario";
     std::vector<MachineClassSpec> machines;
-    std::vector<TaskClassSpec> tasks;
-
-    int totalMachines() const;
 };
-
-/**
- * Lower one machine class onto the homogeneous `aiwc::sim` vocabulary,
- * so scenario classes can drive the existing cluster simulator: cores
- * map to a single-socket no-HT node and the class's GPU block maps to
- * the node's GpuSpec.
- */
-sim::ClusterSpec toClusterSpec(const MachineClassSpec &m);
 
 /** Map the built-in sim catalog row back into a machine class. */
 MachineClassSpec fromMachineSpec(const sim::MachineSpec &m);

@@ -67,13 +67,4 @@ CpuIsa defaultIsaFor(TaskType type);
 std::vector<Task> tasksFromDataset(const core::Dataset &dataset,
                                    const TaskMix &mix, std::uint64_t seed);
 
-/**
- * Expand a scenario's task classes into a concrete arrival stream:
- * arrivals pace at the class's inter-arrival gap with deterministic
- * jitter from the class seed (xor `seed`), runtimes jitter +-15%.
- * Bounded to 200k tasks total; sorted by (arrival, id).
- */
-std::vector<Task> tasksFromSpec(const ScenarioSpec &spec,
-                                std::uint64_t seed);
-
 } // namespace aiwc::scenario

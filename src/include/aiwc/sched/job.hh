@@ -68,12 +68,7 @@ struct Allocation
 {
     std::vector<NodeShare> shares;
 
-    int totalGpus() const;
-    int totalCpuSlots() const;
     bool empty() const { return shares.empty(); }
-
-    /** Flattened list of all GPU ids across shares. */
-    std::vector<GpuId> allGpus() const;
 };
 
 /** Scheduler-side lifetime states. */

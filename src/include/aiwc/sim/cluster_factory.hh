@@ -62,13 +62,6 @@ ClusterSpec supercloudSpec();
  */
 ClusterSpec miniSupercloudSpec(int nodes);
 
-/**
- * A slower/cheaper "exploration tier" GPU, standing in for the
- * less-expensive GPUs the multi-tier recommendation would add.
- * @param relative_speed throughput vs. the V100 (0 < s <= 1).
- */
-GpuSpec economyGpuSpec(double relative_speed = 0.5);
-
 /** Render the spec as the Table-I style spec sheet. */
 void printSpec(const ClusterSpec &spec, std::ostream &os);
 

@@ -45,9 +45,6 @@ double percentile(std::vector<double> xs, double q);
  */
 double percentileSorted(std::span<const double> sorted, double q);
 
-/** Sum of all samples. */
-double sum(std::span<const double> xs);
-
 /**
  * Box-plot statistics as drawn in Fig. 16: median, quartiles, and
  * 1.5-IQR whiskers clamped to the data range.
@@ -114,9 +111,6 @@ class RunningSummary
 
     /** Fold one sample into the summary. */
     void add(double x);
-
-    /** Fold another summary into this one (for multi-GPU averaging). */
-    void merge(const RunningSummary &other);
 
     std::size_t count() const { return n_; }
     double min() const { return n_ ? min_ : 0.0; }

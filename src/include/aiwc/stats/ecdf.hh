@@ -2,8 +2,8 @@
  * @file
  * Empirical cumulative distribution functions — the paper's primary
  * presentation device (Figs. 3, 4, 6, 7, 9, 10, 11, 14 are all CDFs).
- * Streaming sketches reach the same curve()/ksDistance plotting path
- * through stream::renderCdf, which builds one of these from
+ * Streaming sketches reach the same quantile/ksDistance path through
+ * stream::renderCdf, which builds one of these from
  * sketch::KllSketch::quantiles.
  */
 
@@ -51,14 +51,6 @@ class EmpiricalCdf
 
     /** The sorted sample, for plotting/export. */
     std::span<const double> sorted() const { return sorted_; }
-
-    /**
-     * Evaluate the CDF at evenly spaced quantile levels — the series a
-     * plotted CDF line would carry. @param points number of levels >= 2.
-     * The CDF must be non-empty (AIWC_CHECK) — there is no curve to
-     * sample otherwise.
-     */
-    std::vector<std::pair<double, double>> curve(int points = 101) const;
 
     /**
      * Two-sample Kolmogorov-Smirnov statistic against another CDF: the

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace aiwc::stats
 {
@@ -26,16 +25,6 @@ double topShare(std::span<const double> contributions, double top_fraction);
  */
 double topShareSorted(std::span<const double> ascending,
                       double top_fraction);
-
-/**
- * The full descending-sorted cumulative share curve, sampled at each
- * contributor: entry i is the fraction of total mass held by the top
- * i+1 contributors.
- */
-std::vector<double> shareCurve(std::span<const double> contributions);
-
-/** Gini coefficient of the contributions (0 = equal, ->1 = concentrated). */
-double gini(std::span<const double> contributions);
 
 } // namespace aiwc::stats
 

@@ -61,7 +61,7 @@ class StreamPipeline
 
     /** Copies lock @p other, so a concurrently-fed source is safe. */
     StreamPipeline(const StreamPipeline &other);
-    StreamPipeline &operator=(const StreamPipeline &other);
+    StreamPipeline &operator=(const StreamPipeline &) = delete;
 
     /** Fold one record into every analyzer. */
     void ingest(const core::JobRecord &rec);

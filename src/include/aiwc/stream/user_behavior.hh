@@ -1,12 +1,12 @@
 /**
  * @file
- * Streaming Figs. 10-11: per-user aggregates from O(1)-per-user moment
- * accumulators plus a space-saving top-k over GPU-hours, the online
+ * Streaming Fig. 10: per-user aggregates from O(1)-per-user running
+ * means plus a space-saving top-k over GPU-hours, the online
  * counterpart of core::UserBehaviorAnalyzer. State is O(active users),
- * not O(jobs) — each user costs two StreamingMoments (runtime and SM,
- * the per-user axes a snapshot renders), never a job list — and the
- * headline "who dominates the machine" question is answerable from the
- * O(k) heavy-hitters sketch alone.
+ * not O(jobs) — each user costs a job count and two running means
+ * (runtime and SM, the per-user axes a snapshot renders), never a job
+ * list — and the headline "who dominates the machine" question is
+ * answerable from the O(k) heavy-hitters sketch alone.
  */
 
 #pragma once
@@ -20,7 +20,6 @@
 #include "aiwc/core/job_record.hh"
 #include "aiwc/core/user_behavior_analyzer.hh"
 #include "aiwc/sketch/heavy_hitters.hh"
-#include "aiwc/sketch/moments.hh"
 #include "aiwc/stream/geometry.hh"
 
 namespace aiwc::stream
@@ -28,10 +27,9 @@ namespace aiwc::stream
 
 /**
  * Mergeable streaming counterpart of core::UserBehaviorAnalyzer.
- * summaries() reproduces the batch UserSummary list for the runtime
- * and SM axes (means exactly, CoVs via Welford within floating-point
- * noise of the two-pass batch values); the job-share concentration
- * numbers are exact.
+ * summaries() reproduces the batch UserSummary list's job counts and
+ * runtime and SM means (Welford means, within floating-point noise of
+ * the batch sums); the job-share concentration numbers are exact.
  */
 class StreamingUserBehavior
 {
@@ -65,10 +63,9 @@ class StreamingUserBehavior
 
     /**
      * Per-user summaries in ascending user-id order, mirroring
-     * core::UserBehaviorAnalyzer::summarize for the tracked axes: CoV
-     * fields stay 0 for users with a single job and are NaN for
-     * zero-mean series (the stats::covPercent convention). The
-     * memBW/memSize means and CoVs are not tracked and stay 0.
+     * core::UserBehaviorAnalyzer::summarize for the tracked fields:
+     * user, jobs, avg_runtime_min and avg_sm_pct. Every other field is
+     * not tracked and stays 0.
      */
     std::vector<core::UserSummary> summaries() const;
 
@@ -92,13 +89,17 @@ class StreamingUserBehavior
     std::size_t bytes() const;
 
   private:
-    /** O(1) per-user state: the two rendered axes and GPU-hours. */
+    /**
+     * O(1) per-user state: the job count and the running means of the
+     * two rendered axes, updated and merged the Welford/Chan way.
+     */
     struct UserAccum
     {
-        sketch::StreamingMoments runtime_min;
-        sketch::StreamingMoments sm_pct;
-        double gpu_hours = 0.0;
+        std::uint64_t jobs = 0;
+        double runtime_min = 0.0;  //!< mean runtime, minutes
+        double sm_pct = 0.0;       //!< mean SM utilization, percent
 
+        void add(double runtime, double sm);
         void merge(const UserAccum &other);
     };
 

@@ -76,8 +76,6 @@ enum class DecodeStatus : std::uint8_t
     Malformed,      //!< payload structure/bounds/enum-range violation
 };
 
-const char *toString(DecodeStatus status);
-
 /**
  * Result of one decode attempt. `consumed` is how many input bytes the
  * caller should drop: header + payload for every parsed frame (good or

@@ -63,8 +63,6 @@ enum class Admission : std::uint8_t
     Backpressure,
 };
 
-const char *toString(Admission a);
-
 /** Outcome of offering one wire frame to the service. */
 struct OfferResult
 {
@@ -131,9 +129,6 @@ class Service
 
     /** All tenant ids, ascending. */
     std::vector<std::uint64_t> tenantIds() const;
-
-    /** Records waiting in the tenant's queue (0 for unknown). */
-    std::size_t queuedRecords(std::uint64_t tenant) const;
 
     /** Records drained into the tenant's pipeline (0 for unknown). */
     std::uint64_t ingestedRecords(std::uint64_t tenant) const;

@@ -65,13 +65,9 @@ class UserPopulation
 
     std::span<const UserProfile> users() const { return users_; }
     std::size_t size() const { return users_.size(); }
-    const UserProfile &user(UserId id) const;
 
     /** Draw a user with probability proportional to activity. */
     const UserProfile &sampleByActivity(Rng &rng) const;
-
-    /** Fraction of users whose tier allows multi-GPU jobs. */
-    double multiGpuCapableFraction() const;
 
     /** Whether user id belongs to the heavy cohort. */
     bool isHeavy(UserId id) const { return heavy_[id]; }

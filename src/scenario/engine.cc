@@ -512,28 +512,4 @@ simulateCell(const MachineClassSpec &cls, int count,
     return CellSimulator(Fleet::homogeneous(local, n), tasks, policy).run();
 }
 
-CellStats
-simulateFleet(const ScenarioSpec &spec, const std::vector<Task> &tasks,
-              const SchedulingPolicy &policy)
-{
-    ScenarioSpec local = spec;
-    for (MachineClassSpec &m : local.machines)
-        normalize(m);
-    if (local.totalMachines() == 0) {
-        // A machine-less scenario still yields a total, empty result.
-        CellStats stats;
-        stats.tasks = tasks.size();
-        stats.dropped = tasks.size();
-        for (const Task &t : tasks)
-            if (t.sla != SlaClass::Scavenger)
-                ++stats.sla_violations;
-        stats.violation_rate =
-            tasks.empty() ? 0.0
-                          : static_cast<double>(stats.sla_violations) /
-                                static_cast<double>(tasks.size());
-        return stats;
-    }
-    return CellSimulator(Fleet::fromSpec(local), tasks, policy).run();
-}
-
 } // namespace aiwc::scenario

@@ -113,17 +113,6 @@ Machine::remove(const Demand &d, Seconds t)
 }
 
 Fleet
-Fleet::fromSpec(const ScenarioSpec &spec)
-{
-    Fleet fleet;
-    std::uint32_t id = 0;
-    for (const MachineClassSpec &cls : spec.machines)
-        for (int i = 0; i < cls.count; ++i)
-            fleet.machines.emplace_back(&cls, id++);
-    return fleet;
-}
-
-Fleet
 Fleet::homogeneous(const MachineClassSpec &cls, int count)
 {
     Fleet fleet;

@@ -1,7 +1,6 @@
 #include "aiwc/scenario/runner.hh"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 
 #include "aiwc/common/parallel.hh"
@@ -34,6 +33,9 @@ struct RunnerMetrics
     }
 };
 
+/** GPU jobs a mix's slice needs before its cells get an overlay. */
+constexpr std::size_t min_overlay_gpu_jobs = 10;
+
 /** GPU-accelerated task types: the planner overlays analyze these. */
 bool
 acceleratedType(TaskType t)
@@ -64,11 +66,10 @@ gpuSlice(const core::Dataset &dataset, const std::vector<Task> &tasks)
 }
 
 PlannerOverlay
-computeOverlay(const core::Dataset &slice, const MachineClassSpec &cls,
-               std::size_t min_gpu_jobs)
+computeOverlay(const core::Dataset &slice, const MachineClassSpec &cls)
 {
     PlannerOverlay overlay;
-    if (slice.size() < min_gpu_jobs || cls.gpus == 0)
+    if (slice.size() < min_overlay_gpu_jobs || cls.gpus == 0)
         return overlay;
     const double tdp = cls.gpu_tdp_watts;
     const opportunity::PowerCapPlanner capper(tdp);
@@ -93,8 +94,8 @@ struct SweepMix
 {
     std::string name;
     std::vector<Task> tasks;
-    /** The mix's GPU slice, present when planner overlays are on. */
-    std::optional<core::Dataset> slice;
+    /** The mix's GPU slice, which the planner overlays read. */
+    core::Dataset slice;
 };
 
 /**
@@ -133,9 +134,8 @@ sweepCells(const ScenarioSpec &spec, const SweepOptions &options,
                               ? (cls.count > 0 ? cls.count : 1)
                               : options.machines_per_cell;
         cell.stats = simulateCell(cls, count, mix.tasks, policy);
-        if (pol_i == 0 && mix.slice)
-            cell.overlay = computeOverlay(*mix.slice, cls,
-                                          options.min_overlay_gpu_jobs);
+        if (pol_i == 0)
+            cell.overlay = computeOverlay(mix.slice, cls);
     });
     for (std::size_t i = 0; i < n_cells; ++i)
         if (i % n_pol != 0)
@@ -153,8 +153,6 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec &spec, SweepOptions options)
 {
     for (MachineClassSpec &m : spec_.machines)
         normalize(m);
-    for (TaskClassSpec &t : spec_.tasks)
-        normalize(t);
     if (options_.machines_per_cell < 1)
         options_.machines_per_cell = 1;
 }
@@ -173,20 +171,9 @@ ScenarioRunner::sweep(
         SweepMix &m = sweep_mixes.emplace_back();
         m.name = mix.name;
         m.tasks = tasksFromDataset(dataset, mix, options_.seed);
-        if (options_.planner_overlays)
-            m.slice = gpuSlice(dataset, m.tasks);
+        m.slice = gpuSlice(dataset, m.tasks);
     }
     return sweepCells(spec_, options_, sweep_mixes, policies);
-}
-
-FrontierReport
-ScenarioRunner::sweepSynthetic(
-    const std::vector<const SchedulingPolicy *> &policies) const
-{
-    obs::TraceSpan span("scenario.sweep");
-    std::vector<SweepMix> spec_mix;
-    spec_mix.push_back({"spec", tasksFromSpec(spec_, options_.seed), {}});
-    return sweepCells(spec_, options_, spec_mix, policies);
 }
 
 } // namespace aiwc::scenario

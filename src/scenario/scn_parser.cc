@@ -153,52 +153,6 @@ parseIsa(const std::string &text, CpuIsa &isa)
     return false;
 }
 
-bool
-parseTaskType(const std::string &text, TaskType &type)
-{
-    const std::string t = lower(trim(text));
-    if (t == "web") {
-        type = TaskType::Web;
-        return true;
-    }
-    if (t == "ai") {
-        type = TaskType::Ai;
-        return true;
-    }
-    if (t == "crypto") {
-        type = TaskType::Crypto;
-        return true;
-    }
-    if (t == "stream" || t == "streaming") {
-        type = TaskType::Stream;
-        return true;
-    }
-    if (t == "hpc") {
-        type = TaskType::Hpc;
-        return true;
-    }
-    return false;
-}
-
-bool
-parseSla(const std::string &text, SlaClass &sla)
-{
-    const std::string t = lower(trim(text));
-    if (t == "sla0" || t == "latency-sensitive") {
-        sla = SlaClass::LatencySensitive;
-        return true;
-    }
-    if (t == "sla1" || t == "sla2" || t == "batch") {
-        sla = SlaClass::Batch;
-        return true;
-    }
-    if (t == "sla3" || t == "scavenger" || t == "best-effort") {
-        sla = SlaClass::Scavenger;
-        return true;
-    }
-    return false;
-}
-
 /** The line-by-line state machine behind parseScn(). */
 class Parser
 {
@@ -238,7 +192,7 @@ class Parser
         Top,
         WantBrace,   //!< saw a header, expecting `{`
         InMachine,
-        InTask,
+        Skipping,    //!< inside a `task class` block, read past unparsed
     };
 
     void
@@ -267,6 +221,8 @@ class Parser
             closeBlock();
             return;
         }
+        if (state_ == State::Skipping)
+            return;
         if (line == "{") {
             diagnose("nested '{' inside a block");
             return;
@@ -302,9 +258,10 @@ class Parser
             return;
         }
         if (head == "task class") {
-            task_ = TaskClassSpec{};
-            task_.name.clear();
-            pending_ = State::InTask;
+            // Tasks come from the dataset; a task class block is read
+            // past whole, with this one diagnostic.
+            diagnose("'task class' blocks are not supported; skipped");
+            pending_ = State::Skipping;
             state_ = State::WantBrace;
             return;
         }
@@ -324,15 +281,6 @@ class Parser
                 result_.spec.machines.push_back(machine_);
             else
                 diagnose("too many machine classes (limit 64)");
-        } else if (state_ == State::InTask) {
-            if (task_.name.empty())
-                task_.name =
-                    "task-class-" + std::to_string(result_.spec.tasks.size());
-            normalize(task_);
-            if (result_.spec.tasks.size() < 256)
-                result_.spec.tasks.push_back(task_);
-            else
-                diagnose("too many task classes (limit 256)");
         }
         state_ = State::Top;
     }
@@ -345,12 +293,8 @@ class Parser
             diagnose("expected 'key: value', got '" + line + "'");
             return;
         }
-        const std::string key = lower(trim(line.substr(0, colon)));
-        const std::string value = trim(line.substr(colon + 1));
-        if (state_ == State::InMachine)
-            machineKey(key, value);
-        else
-            taskKey(key, value);
+        machineKey(lower(trim(line.substr(0, colon))),
+                   trim(line.substr(colon + 1)));
     }
 
     /** Diagnose-and-default numeric assignment. */
@@ -440,64 +384,10 @@ class Parser
         }
     }
 
-    void
-    taskKey(const std::string &key, const std::string &value)
-    {
-        auto millis = [&](Seconds &out) {
-            double ms = 0.0;
-            if (parseNumber(value, ms))
-                out = ms / 1000.0;  // file is milliseconds
-            else
-                diagnose("bad number for '" + key + "': '" + value + "'");
-        };
-        if (key == "name") {
-            task_.name = value;
-        } else if (key == "start time") {
-            millis(task_.start_time);
-        } else if (key == "end time") {
-            millis(task_.end_time);
-        } else if (key == "inter arrival") {
-            millis(task_.inter_arrival);
-        } else if (key == "expected runtime") {
-            millis(task_.expected_runtime);
-        } else if (key == "memory") {
-            double mb = 0.0;
-            if (parseNumber(value, mb))
-                task_.memory_gb = mb / 1024.0;
-            else
-                diagnose("bad number for 'memory': '" + value + "'");
-        } else if (key == "number of cores") {
-            integer(key, value, task_.cores);
-        } else if (key == "vm type") {
-            // Accepted for cloudsim compatibility; no VM layer here.
-        } else if (key == "gpu enabled") {
-            if (!parseBool(value, task_.gpu))
-                diagnose("bad yes/no for 'gpu enabled': '" + value + "'");
-        } else if (key == "sla type") {
-            if (!parseSla(value, task_.sla))
-                diagnose("unknown SLA type '" + value + "'");
-        } else if (key == "cpu type") {
-            if (!parseIsa(value, task_.cpu))
-                diagnose("unknown CPU type '" + value + "'");
-        } else if (key == "task type") {
-            if (!parseTaskType(value, task_.type))
-                diagnose("unknown task type '" + value + "'");
-        } else if (key == "seed") {
-            double v = 0.0;
-            if (parseNumber(value, v) && v >= 0.0 && v < 1.8e19)
-                task_.seed = static_cast<std::uint64_t>(v);
-            else
-                diagnose("bad seed: '" + value + "'");
-        } else {
-            diagnose("unknown task-class key '" + key + "'");
-        }
-    }
-
     ScnParseResult result_;
     State state_ = State::Top;
     State pending_ = State::Top;
     MachineClassSpec machine_;
-    TaskClassSpec task_;
     int line_no_ = 0;
 };
 

@@ -33,18 +33,6 @@ clampTable(std::vector<double> &table, double lo, double hi)
 
 } // namespace
 
-const char *
-toString(CpuIsa isa)
-{
-    switch (isa) {
-      case CpuIsa::X86: return "X86";
-      case CpuIsa::Arm: return "ARM";
-      case CpuIsa::Power: return "POWER";
-      case CpuIsa::Riscv: return "RISCV";
-    }
-    return "?";
-}
-
 int
 MachineClassSpec::deepestSleep() const
 {
@@ -128,49 +116,6 @@ normalize(MachineClassSpec &m)
     clampTable(m.s_wake_seconds, 0.0, 1.0e6);
     m.s_wake_seconds.resize(m.s_state_watts.size(), 0.0);
     m.s_wake_seconds[0] = 0.0;  // S0 is awake; nothing to wake from
-}
-
-void
-normalize(TaskClassSpec &t)
-{
-    if (t.name.empty())
-        t.name = "task-class";
-    t.start_time = clampd(t.start_time, 0.0, 1.0e12);
-    t.end_time = clampd(t.end_time, t.start_time, 1.0e12);
-    t.inter_arrival = clampd(t.inter_arrival, 0.001, 1.0e12);
-    t.expected_runtime = clampd(t.expected_runtime, 0.001, 1.0e12);
-    t.memory_gb = clampd(t.memory_gb, 0.0, 1.0e6);
-    t.cores = clampi(t.cores, 1, 4096);
-}
-
-int
-ScenarioSpec::totalMachines() const
-{
-    int total = 0;
-    for (const MachineClassSpec &m : machines)
-        total += m.count;
-    return total;
-}
-
-sim::ClusterSpec
-toClusterSpec(const MachineClassSpec &m)
-{
-    sim::ClusterSpec spec;
-    spec.name = m.name;
-    spec.nodes = m.count > 0 ? m.count : 1;
-    spec.node.sockets = 1;
-    spec.node.cores_per_socket = m.cores;
-    spec.node.hyperthreads_per_core = 1;
-    spec.node.ram_gb = m.memory_gb;
-    spec.node.gpus = m.gpus;
-    if (m.gpus > 0) {
-        spec.node.gpu.model = m.name + "-gpu";
-        spec.node.gpu.memory_gb = m.gpu_memory_gb;
-        spec.node.gpu.tdp_watts = m.gpu_tdp_watts;
-        spec.node.gpu.idle_watts = m.gpu_idle_watts;
-        spec.node.gpu.relative_speed = m.gpu_relative_speed;
-    }
-    return spec;
 }
 
 MachineClassSpec

@@ -120,33 +120,4 @@ tasksFromDataset(const core::Dataset &dataset, const TaskMix &mix,
     return tasks;
 }
 
-std::vector<Task>
-tasksFromSpec(const ScenarioSpec &spec, std::uint64_t seed)
-{
-    constexpr std::size_t max_tasks = 200000;
-    std::vector<Task> tasks;
-    std::uint32_t next_id = 0;
-    for (const TaskClassSpec &cls : spec.tasks) {
-        Rng rng(mix64(seed ^ mix64(cls.seed)));
-        Seconds t = cls.start_time;
-        while (t < cls.end_time && tasks.size() < max_tasks) {
-            Task task;
-            task.id = next_id++;
-            task.type = cls.type;
-            task.sla = cls.sla;
-            task.preferred_isa = cls.cpu;
-            task.arrival = t;
-            task.expected_runtime =
-                cls.expected_runtime * rng.uniform(0.85, 1.15);
-            task.cores = cls.cores;
-            task.memory_gb = cls.memory_gb;
-            task.gpus = cls.gpu ? 1 : 0;
-            tasks.push_back(task);
-            t += cls.inter_arrival * rng.uniform(0.5, 1.5);
-        }
-    }
-    sortTasks(tasks);
-    return tasks;
-}
-
 } // namespace aiwc::scenario

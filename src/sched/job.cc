@@ -3,33 +3,6 @@
 namespace aiwc::sched
 {
 
-int
-Allocation::totalGpus() const
-{
-    int n = 0;
-    for (const auto &s : shares)
-        n += static_cast<int>(s.gpus.size());
-    return n;
-}
-
-int
-Allocation::totalCpuSlots() const
-{
-    int n = 0;
-    for (const auto &s : shares)
-        n += s.cpu_slots;
-    return n;
-}
-
-std::vector<GpuId>
-Allocation::allGpus() const
-{
-    std::vector<GpuId> out;
-    for (const auto &s : shares)
-        out.insert(out.end(), s.gpus.begin(), s.gpus.end());
-    return out;
-}
-
 double
 Job::gpuHours() const
 {

@@ -12,7 +12,7 @@ namespace
 /**
  * The machine-class catalog. Row 0 is the Table-I Supercloud node;
  * row 1 is the cheaper "economy" exploration tier (same chassis,
- * slower 16 GB GPUs) that economyGpuSpec() has always described.
+ * slower 16 GB GPUs) the multi-tier recommendation would add.
  */
 constexpr MachineSpec machine_spec_table[] = {
     // name, nodes, sockets, cores/socket, HT, RAM GB, GPUs,
@@ -76,20 +76,6 @@ miniSupercloudSpec(int nodes)
     spec.name = "MiniSupercloud";
     spec.nodes = nodes;
     return spec;
-}
-
-GpuSpec
-economyGpuSpec(double relative_speed)
-{
-    AIWC_ASSERT(relative_speed > 0.0 && relative_speed <= 1.0,
-                "economy tier speed must be in (0, 1]");
-    GpuSpec gpu;
-    gpu.model = "EconomyTier";
-    gpu.memory_gb = 16.0;
-    gpu.tdp_watts = 160.0;
-    gpu.idle_watts = 15.0;
-    gpu.relative_speed = relative_speed;
-    return gpu;
 }
 
 void

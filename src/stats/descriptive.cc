@@ -65,15 +65,6 @@ percentile(std::vector<double> xs, double q)
     return percentileSorted(xs, q);
 }
 
-double
-sum(std::span<const double> xs)
-{
-    double acc = 0.0;
-    for (double x : xs)
-        acc += x;
-    return acc;
-}
-
 BoxStats
 BoxStats::from(std::vector<double> xs)
 {
@@ -167,18 +158,6 @@ RunningSummary::add(double x)
     max_ = std::max(max_, x);
     sum_ += x;
     sum_sq_ += x * x;
-}
-
-void
-RunningSummary::merge(const RunningSummary &other)
-{
-    if (other.n_ == 0)
-        return;
-    n_ += other.n_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    sum_ += other.sum_;
-    sum_sq_ += other.sum_sq_;
 }
 
 double

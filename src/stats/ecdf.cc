@@ -46,20 +46,6 @@ EmpiricalCdf::quantile(double q) const
     return percentileSorted(sorted_, q);
 }
 
-std::vector<std::pair<double, double>>
-EmpiricalCdf::curve(int points) const
-{
-    AIWC_CHECK(points >= 2, "curve needs at least two points");
-    AIWC_CHECK(!empty(), "curve of an empty CDF is undefined");
-    std::vector<std::pair<double, double>> out;
-    out.reserve(static_cast<std::size_t>(points));
-    for (int i = 0; i < points; ++i) {
-        const double q = static_cast<double>(i) / (points - 1);
-        out.emplace_back(quantile(q), q);
-    }
-    return out;
-}
-
 double
 EmpiricalCdf::ksDistance(const EmpiricalCdf &other) const
 {

@@ -77,22 +77,6 @@ StreamPipeline::StreamPipeline(const StreamPipeline &other,
 {
 }
 
-StreamPipeline &
-StreamPipeline::operator=(const StreamPipeline &other)
-{
-    if (this == &other)
-        return *this;
-    MutexLock2 lock(mutex_, other.mutex_);
-    rows_ = other.rows_;
-    gpu_jobs_ = other.gpu_jobs_;
-    cpu_jobs_ = other.cpu_jobs_;
-    service_time_ = other.service_time_;
-    utilization_ = other.utilization_;
-    power_ = other.power_;
-    user_behavior_ = other.user_behavior_;
-    return *this;
-}
-
 void
 StreamPipeline::ingest(const core::JobRecord &rec)
 {

@@ -10,20 +10,25 @@
 namespace aiwc::stream
 {
 
-namespace
+void
+StreamingUserBehavior::UserAccum::add(double runtime, double sm)
 {
-
-/** Users with fewer jobs report no CoVs (the batch analyzer's default). */
-constexpr std::size_t min_jobs_for_cov = 2;
-
-} // namespace
+    ++jobs;
+    const double n = static_cast<double>(jobs);
+    runtime_min += (runtime - runtime_min) / n;
+    sm_pct += (sm - sm_pct) / n;
+}
 
 void
 StreamingUserBehavior::UserAccum::merge(const UserAccum &other)
 {
-    runtime_min.merge(other.runtime_min);
-    sm_pct.merge(other.sm_pct);
-    gpu_hours += other.gpu_hours;
+    // Both sides hold at least one job: a slot is created by its first
+    // record or copied whole from the other table.
+    const double nb = static_cast<double>(other.jobs);
+    jobs += other.jobs;
+    const double n = static_cast<double>(jobs);
+    runtime_min += (other.runtime_min - runtime_min) * nb / n;
+    sm_pct += (other.sm_pct - sm_pct) * nb / n;
 }
 
 StreamingUserBehavior::UserAccum &
@@ -43,10 +48,8 @@ StreamingUserBehavior::observe(const core::JobRecord &rec)
 {
     if (!rec.isGpuJob() || rec.runTime() < core::min_gpu_runtime)
         return;
-    UserAccum &acc = accumFor(rec.user, UserAccum{});
-    acc.runtime_min.add(rec.runTime() / 60.0);
-    acc.sm_pct.add(100.0 * rec.meanUtilization(Resource::Sm));
-    acc.gpu_hours += rec.gpuHours();
+    accumFor(rec.user, UserAccum{})
+        .add(rec.runTime() / 60.0, 100.0 * rec.meanUtilization(Resource::Sm));
     hours_topk_.add(rec.user, rec.gpuHours());
 }
 
@@ -75,14 +78,9 @@ StreamingUserBehavior::summaries() const
         const UserAccum &acc = accum(d);
         core::UserSummary s;
         s.user = ids[d];
-        s.jobs = acc.runtime_min.count();
-        s.gpu_hours = acc.gpu_hours;
-        s.avg_runtime_min = acc.runtime_min.mean();
-        s.avg_sm_pct = acc.sm_pct.mean();
-        if (s.jobs >= min_jobs_for_cov) {
-            s.runtime_cov_pct = acc.runtime_min.covPercent();
-            s.sm_cov_pct = acc.sm_pct.covPercent();
-        }
+        s.jobs = acc.jobs;
+        s.avg_runtime_min = acc.runtime_min;
+        s.avg_sm_pct = acc.sm_pct;
         out.push_back(s);
     }
     std::sort(out.begin(), out.end(),
@@ -102,10 +100,9 @@ StreamingUserBehavior::aggregates() const
     jobs_per_user.reserve(users_.size());
     for (const std::vector<UserAccum> &chunk : chunks_) {
         for (const UserAccum &acc : chunk) {
-            out.avg_runtime_min.push_back(acc.runtime_min.mean());
-            out.avg_sm_pct.push_back(acc.sm_pct.mean());
-            jobs_per_user.push_back(
-                static_cast<double>(acc.runtime_min.count()));
+            out.avg_runtime_min.push_back(acc.runtime_min);
+            out.avg_sm_pct.push_back(acc.sm_pct);
+            jobs_per_user.push_back(static_cast<double>(acc.jobs));
         }
     }
     std::sort(jobs_per_user.begin(), jobs_per_user.end());

@@ -123,22 +123,6 @@ reject(DecodeStatus status, std::size_t consumed)
 
 } // namespace
 
-const char *
-toString(DecodeStatus status)
-{
-    switch (status) {
-      case DecodeStatus::Ok: return "ok";
-      case DecodeStatus::NeedMoreData: return "need-more-data";
-      case DecodeStatus::BadMagic: return "bad-magic";
-      case DecodeStatus::VersionSkew: return "version-skew";
-      case DecodeStatus::BadType: return "bad-type";
-      case DecodeStatus::Oversized: return "oversized";
-      case DecodeStatus::BadCrc: return "bad-crc";
-      case DecodeStatus::Malformed: return "malformed";
-    }
-    return "unknown";
-}
-
 std::vector<std::uint8_t>
 encodeJobBatch(std::uint64_t tenant,
                std::span<const core::JobRecord> records)

@@ -72,16 +72,6 @@ drainNsHistogram()
 
 } // namespace
 
-const char *
-toString(Admission a)
-{
-    switch (a) {
-      case Admission::Accepted: return "accepted";
-      case Admission::Backpressure: return "backpressure";
-    }
-    return "unknown";
-}
-
 Service::Service(ServiceOptions options) : options_(std::move(options))
 {
     AIWC_CHECK(options_.queue_budget_records >= 1,
@@ -194,16 +184,6 @@ Service::tenantIds() const
     for (const auto &[id, tenant] : tenants_)
         ids.push_back(id);
     return ids;
-}
-
-std::size_t
-Service::queuedRecords(std::uint64_t tenant_id) const
-{
-    const Tenant *tenant = findTenant(tenant_id);
-    if (tenant == nullptr)
-        return 0;
-    MutexLock lock(tenant->mutex);
-    return tenant->queued_records;
 }
 
 std::uint64_t

@@ -163,13 +163,6 @@ UserPopulation::UserPopulation(const CalibrationProfile &profile, Rng &rng,
 }
 
 const UserProfile &
-UserPopulation::user(UserId id) const
-{
-    AIWC_ASSERT(id < users_.size(), "user id out of range: ", id);
-    return users_[id];
-}
-
-const UserProfile &
 UserPopulation::sampleByActivity(Rng &rng) const
 {
     const double u = rng.uniform() * cumulative_weight_.back();
@@ -179,17 +172,6 @@ UserPopulation::sampleByActivity(Rng &rng) const
         static_cast<std::size_t>(it - cumulative_weight_.begin()),
         users_.size() - 1);
     return users_[idx];
-}
-
-double
-UserPopulation::multiGpuCapableFraction() const
-{
-    std::size_t capable = 0;
-    for (const auto &u : users_)
-        if (u.tier != GpuTier::SingleOnly)
-            ++capable;
-    return static_cast<double>(capable) /
-           static_cast<double>(users_.size());
 }
 
 } // namespace aiwc::workload

@@ -31,42 +31,6 @@ TEST(LifecycleClassifier, MapsTerminalStates)
               Lifecycle::Development);
 }
 
-TEST(LifecycleClassifier, JobMixCountsFractions)
-{
-    Dataset ds;
-    for (int i = 0; i < 6; ++i)
-        ds.add(gpuRecord(static_cast<JobId>(i), 0, 60.0, 1, 0.2, 0.5,
-                         TerminalState::Completed));
-    for (int i = 6; i < 8; ++i)
-        ds.add(gpuRecord(static_cast<JobId>(i), 0, 60.0, 1, 0.2, 0.5,
-                         TerminalState::Cancelled));
-    for (int i = 8; i < 10; ++i)
-        ds.add(gpuRecord(static_cast<JobId>(i), 0, 60.0, 1, 0.2, 0.5,
-                         TerminalState::TimedOut));
-    const LifecycleClassifier clf;
-    const auto mix = clf.jobMix(ds);
-    EXPECT_NEAR(mix[static_cast<int>(Lifecycle::Mature)], 0.6, 1e-12);
-    EXPECT_NEAR(mix[static_cast<int>(Lifecycle::Exploratory)], 0.2,
-                1e-12);
-    EXPECT_NEAR(mix[static_cast<int>(Lifecycle::Ide)], 0.2, 1e-12);
-    EXPECT_NEAR(mix[static_cast<int>(Lifecycle::Development)], 0.0,
-                1e-12);
-}
-
-TEST(LifecycleClassifier, GpuHourMixWeightsBySize)
-{
-    Dataset ds;
-    // 1 GPU-hour mature vs 4 GPU-hours IDE.
-    ds.add(gpuRecord(1, 0, 3600.0, 1, 0.2, 0.5,
-                     TerminalState::Completed));
-    ds.add(gpuRecord(2, 0, 3600.0, 4, 0.2, 0.5,
-                     TerminalState::TimedOut));
-    const LifecycleClassifier clf;
-    const auto mix = clf.gpuHourMix(ds);
-    EXPECT_NEAR(mix[static_cast<int>(Lifecycle::Mature)], 0.2, 1e-12);
-    EXPECT_NEAR(mix[static_cast<int>(Lifecycle::Ide)], 0.8, 1e-12);
-}
-
 TEST(LifecycleClassifier, AccuracyAgainstTruth)
 {
     Dataset ds;
@@ -86,9 +50,6 @@ TEST(LifecycleClassifier, EmptyDatasetEdgeCases)
 {
     const Dataset ds;
     const LifecycleClassifier clf;
-    const auto mix = clf.jobMix(ds);
-    for (double m : mix)
-        EXPECT_DOUBLE_EQ(m, 0.0);
     EXPECT_DOUBLE_EQ(clf.accuracyAgainstTruth(ds), 1.0);
 }
 

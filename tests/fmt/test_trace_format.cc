@@ -365,7 +365,7 @@ TEST(TraceFormat, FileRoundTripThroughMmap)
     std::string error;
     ASSERT_TRUE(writeTraceFile(path, original, &error)) << error;
 
-    const MmapFile file = MmapFile::open(path);
+    const MmapFile file(path);
     ASSERT_TRUE(file.valid()) << file.error();
     EXPECT_EQ(file.bytes().size(), encodeTrace(original).size());
 

@@ -192,35 +192,6 @@ TEST(Engine, DeterministicAcrossRuns)
     EXPECT_EQ(a.makespan, b.makespan);
 }
 
-TEST(Engine, MachinelessScenarioIsTotal)
-{
-    ScenarioSpec spec;  // no machine classes at all
-    const LoadBalancePolicy policy;
-    std::vector<Task> tasks = steadyTasks(4);
-    tasks[3].sla = SlaClass::Scavenger;
-    const CellStats stats = simulateFleet(spec, tasks, policy);
-    EXPECT_EQ(stats.tasks, 4u);
-    EXPECT_EQ(stats.dropped, 4u);
-    EXPECT_EQ(stats.sla_violations, 3u);
-    EXPECT_DOUBLE_EQ(stats.violation_rate, 0.75);
-}
-
-TEST(Engine, HeterogeneousFleetUsesEveryClass)
-{
-    ScenarioSpec spec;
-    MachineClassSpec big = engineClass();
-    big.name = "big";
-    big.count = 1;
-    MachineClassSpec small = engineClass();
-    small.name = "small";
-    small.count = 1;
-    small.cores = 2;
-    spec.machines = {big, small};
-    const LoadBalancePolicy policy;
-    const CellStats stats = simulateFleet(spec, steadyTasks(16), policy);
-    EXPECT_EQ(stats.finished, 16u);
-}
-
 /** Greedy packing that counts its place() calls (no decision reads them). */
 class CountingGreedyPolicy : public GreedyPackPolicy
 {

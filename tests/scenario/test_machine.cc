@@ -143,26 +143,6 @@ TEST(Machine, AdvanceToIsMonotonic)
     EXPECT_DOUBLE_EQ(m.joules(), j);
 }
 
-TEST(Fleet, FromSpecLaysOutClassMajor)
-{
-    ScenarioSpec spec;
-    MachineClassSpec a = testClass();
-    a.name = "a";
-    a.count = 2;
-    MachineClassSpec b = testClass();
-    b.name = "b";
-    b.count = 3;
-    spec.machines = {a, b};
-    const Fleet fleet = Fleet::fromSpec(spec);
-    ASSERT_EQ(fleet.machines.size(), 5u);
-    EXPECT_EQ(fleet.machines[0].cls().name, "a");
-    EXPECT_EQ(fleet.machines[1].cls().name, "a");
-    EXPECT_EQ(fleet.machines[2].cls().name, "b");
-    EXPECT_EQ(fleet.machines[4].cls().name, "b");
-    for (std::uint32_t i = 0; i < 5; ++i)
-        EXPECT_EQ(fleet.machines[i].id(), i);
-}
-
 TEST(Fleet, TotalJoulesSumsMachines)
 {
     const MachineClassSpec cls = testClass();

@@ -124,13 +124,11 @@ TEST(EnergyFirst, ThrottlesBySlaClass)
 
 TEST(EnergyFirst, PrefersIsaMatchedMachines)
 {
-    ScenarioSpec spec;
-    MachineClassSpec x86 = smallClass("x86", CpuIsa::X86);
-    x86.count = 1;
-    MachineClassSpec arm = smallClass("arm", CpuIsa::Arm);
-    arm.count = 1;
-    spec.machines = {x86, arm};
-    const Fleet fleet = Fleet::fromSpec(spec);
+    const MachineClassSpec x86 = smallClass("x86", CpuIsa::X86);
+    const MachineClassSpec arm = smallClass("arm", CpuIsa::Arm);
+    Fleet fleet;
+    fleet.machines.emplace_back(&x86, 0);
+    fleet.machines.emplace_back(&arm, 1);
     const EnergyFirstPolicy policy;
     // Machine 0 is x86, machine 1 is ARM: an ARM-preferring task skips
     // the first-fit x86 machine.

@@ -129,15 +129,19 @@ TEST(Runner, CellLayoutIsClassMajorThenMixThenPolicy)
 
 TEST(Runner, OverlayIsSharedAcrossPolicySiblings)
 {
-    SweepOptions options;
-    options.min_overlay_gpu_jobs = 1;
-    const ScenarioRunner runner(sweepSpec(), options);
+    // Forty GPU jobs: the ai_heavy mix tags most of them accelerated,
+    // so the slice holds the 10 GPU jobs an overlay needs.
+    std::vector<core::JobRecord> records;
+    for (std::uint32_t i = 1; i <= 40; ++i)
+        records.push_back(
+            gpuRecord(i, 500 + i, 300.0 + 20.0 * i, 1 + i % 2));
+    const core::Dataset ds(std::move(records));
+    const ScenarioRunner runner(sweepSpec(), {});
     const GreedyPackPolicy greedy;
     const LoadBalancePolicy balance;
     const std::vector<const SchedulingPolicy *> policies{&greedy, &balance};
     const std::vector<TaskMix> mixes = {defaultTaskMixes()[2]};  // ai_heavy
-    const FrontierReport report =
-        runner.sweep(sweepDataset(), mixes, policies);
+    const FrontierReport report = runner.sweep(ds, mixes, policies);
     ASSERT_EQ(report.cells.size(), 4u);
     // "big" has GPUs: its overlay computes and both policies carry it.
     EXPECT_TRUE(report.cells[0].overlay.computed);
@@ -166,27 +170,6 @@ TEST(Runner, ReportIsByteIdenticalAcrossThreadCounts)
     const std::string parallel =
         runner.sweep(sweepDataset(), mixes, policies).toJson();
     EXPECT_EQ(serial, parallel);
-}
-
-TEST(Runner, SyntheticSweepCollapsesTheMixAxis)
-{
-    ScenarioSpec spec = sweepSpec();
-    TaskClassSpec cls;
-    cls.name = "t";
-    cls.start_time = 0.0;
-    cls.end_time = 300.0;
-    cls.inter_arrival = 10.0;
-    cls.expected_runtime = 30.0;
-    cls.cores = 2;
-    cls.memory_gb = 2.0;
-    spec.tasks.push_back(cls);
-    const ScenarioRunner runner(spec, {});
-    const GreedyPackPolicy greedy;
-    const std::vector<const SchedulingPolicy *> policies{&greedy};
-    const FrontierReport report = runner.sweepSynthetic(policies);
-    ASSERT_EQ(report.cells.size(), 2u);  // 2 classes x 1 policy
-    EXPECT_EQ(report.cells[0].task_mix, "spec");
-    EXPECT_GT(report.cells[0].stats.finished, 0u);
 }
 
 TEST(Runner, JsonCarriesTheSchemaAndWaitBlocks)
@@ -228,7 +211,6 @@ TEST(Runner, GoldenFrontierBytes)
     SweepOptions options;
     options.seed = 7;
     options.machines_per_cell = 2;
-    options.planner_overlays = false;
     const ScenarioRunner runner(spec, options);
 
     std::vector<core::JobRecord> records;

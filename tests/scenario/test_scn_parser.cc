@@ -59,13 +59,12 @@ task class:
 
 TEST(ScnParser, ParsesTheDocumentedGrammar)
 {
+    // The one diagnostic is the skipped task class block's (line 20).
     const ScnParseResult r = parseScn(kGoodScn, "demo");
-    for (const ScnDiagnostic &d : r.diagnostics)
-        ADD_FAILURE() << "line " << d.line << ": " << d.message;
-    EXPECT_TRUE(r.clean());
+    ASSERT_EQ(r.diagnostics.size(), 1u);
+    EXPECT_EQ(r.diagnostics[0].line, 20);
     EXPECT_EQ(r.spec.name, "demo");
     ASSERT_EQ(r.spec.machines.size(), 1u);
-    ASSERT_EQ(r.spec.tasks.size(), 1u);
 
     const MachineClassSpec &m = r.spec.machines[0];
     EXPECT_EQ(m.name, "premium-x86");
@@ -80,35 +79,22 @@ TEST(ScnParser, ParsesTheDocumentedGrammar)
     EXPECT_EQ(m.gpus, 2);
     EXPECT_DOUBLE_EQ(m.gpu_relative_speed, 0.5);
     EXPECT_DOUBLE_EQ(m.gpu_tdp_watts, 250.0);
-
-    const TaskClassSpec &t = r.spec.tasks[0];
-    EXPECT_EQ(t.name, "web-front");
-    EXPECT_DOUBLE_EQ(t.start_time, 60.0);
-    EXPECT_DOUBLE_EQ(t.end_time, 600.0);
-    EXPECT_DOUBLE_EQ(t.inter_arrival, 8.0);
-    EXPECT_DOUBLE_EQ(t.expected_runtime, 120.0);
-    EXPECT_DOUBLE_EQ(t.memory_gb, 8.0);
-    EXPECT_EQ(t.cores, 2);
-    EXPECT_FALSE(t.gpu);
-    EXPECT_EQ(t.sla, SlaClass::LatencySensitive);  // SLA0
-    EXPECT_EQ(t.cpu, CpuIsa::Arm);
-    EXPECT_EQ(t.type, TaskType::Web);
-    EXPECT_EQ(t.seed, 726775u);
 }
 
-TEST(ScnParser, SlaNumberMapping)
+TEST(ScnParser, TaskClassBlockIsSkippedWithOneDiagnostic)
 {
-    const char *const text =
-        "task class:\n{\nSLA type: SLA1\n}\n"
-        "task class:\n{\nSLA type: SLA2\n}\n"
-        "task class:\n{\nSLA type: SLA3\n}\n"
-        "task class:\n{\nSLA type: scavenger\n}\n";
+    // The block's keys, a stray `{` inside it and its closing `}` are
+    // read past whole; the machine class after it still parses.
+    const char *const text = "machine class:\n{\nName: first\n}\n"
+                             "task class:\n{\nName: t\nSLA type: SLA0\n"
+                             "{\nnot a key\n}\n"
+                             "machine class:\n{\nName: second\n}\n";
     const ScnParseResult r = parseScn(text);
-    ASSERT_EQ(r.spec.tasks.size(), 4u);
-    EXPECT_EQ(r.spec.tasks[0].sla, SlaClass::Batch);
-    EXPECT_EQ(r.spec.tasks[1].sla, SlaClass::Batch);
-    EXPECT_EQ(r.spec.tasks[2].sla, SlaClass::Scavenger);
-    EXPECT_EQ(r.spec.tasks[3].sla, SlaClass::Scavenger);
+    ASSERT_EQ(r.diagnostics.size(), 1u);
+    EXPECT_EQ(r.diagnostics[0].line, 5);
+    ASSERT_EQ(r.spec.machines.size(), 2u);
+    EXPECT_EQ(r.spec.machines[0].name, "first");
+    EXPECT_EQ(r.spec.machines[1].name, "second");
 }
 
 TEST(ScnParser, MalformedValuesFallBackWithDiagnostics)
@@ -161,7 +147,7 @@ TEST(ScnParser, UnreadableFileYieldsDiagnosticNotAbort)
 
 /**
  * The parser's totality contract, checked on every mutant: whatever
- * the bytes, it returns within its machine, task and diagnostic caps,
+ * the bytes, it returns within its machine and diagnostic caps,
  * and every machine class it keeps is simulatable.
  */
 void
@@ -169,7 +155,6 @@ scnOracle(const fuzz::Mutant &m)
 {
     const ScnParseResult r = parseScn(m.bytes);
     EXPECT_LE(r.spec.machines.size(), 64u);
-    EXPECT_LE(r.spec.tasks.size(), 256u);
     EXPECT_LE(r.diagnostics.size(), 257u);  // cap + suppression marker
     for (const MachineClassSpec &machine : r.spec.machines) {
         EXPECT_GE(machine.cores, 1);
@@ -223,7 +208,6 @@ TEST(ScnParserHostile, ClassFloodIsCapped)
         text += "task class:\n{\nName: t\n}\n";
     const ScnParseResult r = parseScn(text);
     EXPECT_LE(r.spec.machines.size(), 64u);
-    EXPECT_LE(r.spec.tasks.size(), 256u);
 }
 
 } // namespace

@@ -149,50 +149,5 @@ TEST(Workload, TasksCarryTheRecordShape)
     EXPECT_DOUBLE_EQ(tasks[0].expected_runtime, 3600.0);
 }
 
-TEST(Workload, TasksFromSpecIsDeterministicAndSorted)
-{
-    ScenarioSpec spec;
-    TaskClassSpec cls;
-    cls.name = "t";
-    cls.start_time = 0.0;
-    cls.end_time = 1000.0;
-    cls.inter_arrival = 10.0;
-    cls.expected_runtime = 60.0;
-    cls.seed = 42;
-    spec.tasks.push_back(cls);
-    cls.name = "u";
-    cls.seed = 43;
-    cls.sla = SlaClass::Scavenger;
-    spec.tasks.push_back(cls);
-
-    const std::vector<Task> a = tasksFromSpec(spec, 2022);
-    const std::vector<Task> b = tasksFromSpec(spec, 2022);
-    ASSERT_FALSE(a.empty());
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].id, b[i].id);
-        EXPECT_DOUBLE_EQ(a[i].arrival, b[i].arrival);
-    }
-    for (std::size_t i = 1; i < a.size(); ++i)
-        EXPECT_LE(a[i - 1].arrival, a[i].arrival);
-    // Jittered runtimes stay within the documented +-15% band.
-    for (const Task &t : a) {
-        EXPECT_GE(t.expected_runtime, 60.0 * 0.85 - 1e-9);
-        EXPECT_LE(t.expected_runtime, 60.0 * 1.15 + 1e-9);
-    }
-}
-
-TEST(Workload, TasksFromSpecIsBounded)
-{
-    ScenarioSpec spec;
-    TaskClassSpec cls;
-    cls.start_time = 0.0;
-    cls.end_time = 1.0e12;
-    cls.inter_arrival = 0.001;
-    spec.tasks.push_back(cls);
-    const std::vector<Task> tasks = tasksFromSpec(spec, 1);
-    EXPECT_LE(tasks.size(), 200000u);
-}
-
 } // namespace
 } // namespace aiwc::scenario

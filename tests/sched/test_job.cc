@@ -36,24 +36,6 @@ TEST(JobRequest, GpuJobDetection)
     EXPECT_TRUE(req.isGpuJob());
 }
 
-TEST(Allocation, TotalsAcrossShares)
-{
-    Allocation alloc;
-    NodeShare a;
-    a.node = 0;
-    a.cpu_slots = 8;
-    a.gpus = {0, 1};
-    NodeShare b;
-    b.node = 1;
-    b.cpu_slots = 4;
-    b.gpus = {2};
-    alloc.shares = {a, b};
-    EXPECT_EQ(alloc.totalGpus(), 3);
-    EXPECT_EQ(alloc.totalCpuSlots(), 12);
-    EXPECT_EQ(alloc.allGpus(), (std::vector<GpuId>{0, 1, 2}));
-    EXPECT_FALSE(alloc.empty());
-}
-
 TEST(Job, TimingDerivations)
 {
     Job job;

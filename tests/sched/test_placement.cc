@@ -36,8 +36,8 @@ TEST(Placement, SingleGpuJobFitsOneNode)
     DensePlacement placement;
     const auto plan = placement.place(cluster, gpuRequest(1));
     ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->shares.size(), 1u);
-    EXPECT_EQ(plan->totalGpus(), 1);
+    ASSERT_EQ(plan->shares.size(), 1u);
+    EXPECT_EQ(plan->shares[0].gpus.size(), 1u);
 }
 
 TEST(Placement, TwoGpuJobStaysOnOneNode)
@@ -59,7 +59,8 @@ TEST(Placement, FourGpuJobSpansNeighbours)
     // Neighbouring node ids.
     EXPECT_EQ(plan->shares[1].node, plan->shares[0].node + 1);
     placement.commit(cluster, 1, *plan);
-    EXPECT_EQ(plan->totalGpus(), 4);
+    EXPECT_EQ(plan->shares[0].gpus.size() + plan->shares[1].gpus.size(),
+              4u);
     EXPECT_EQ(cluster.freeGpus(), 4);
 }
 

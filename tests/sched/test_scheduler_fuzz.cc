@@ -112,7 +112,10 @@ TEST_P(SchedulerFuzz, InvariantsHoldUnderRandomLoad)
             EXPECT_EQ(job.terminal, TerminalState::TimedOut);
         }
         if (job.request.isGpuJob()) {
-            EXPECT_EQ(job.allocation.totalGpus(), job.request.gpus);
+            std::size_t gpus = 0;
+            for (const NodeShare &share : job.allocation.shares)
+                gpus += share.gpus.size();
+            EXPECT_EQ(gpus, static_cast<std::size_t>(job.request.gpus));
             edges.push_back({job.start_time, job.request.gpus});
             edges.push_back({job.end_time, -job.request.gpus});
         }

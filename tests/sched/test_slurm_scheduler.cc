@@ -113,13 +113,14 @@ TEST(SlurmScheduler, PrologAndEpilogFire)
 TEST(SlurmScheduler, PrologSeesAllocation)
 {
     Fixture f;
-    int allocated_gpus = 0;
+    std::size_t allocated_gpus = 0;
     f.scheduler.setProlog([&](const Job &j) {
-        allocated_gpus = j.allocation.totalGpus();
+        for (const NodeShare &share : j.allocation.shares)
+            allocated_gpus += share.gpus.size();
     });
     f.scheduler.submit(makeJob(1, 0.0, 60.0, 2));
     f.sim.run();
-    EXPECT_EQ(allocated_gpus, 2);
+    EXPECT_EQ(allocated_gpus, 2u);
 }
 
 TEST(SlurmScheduler, RejectsInfeasibleRequests)

@@ -21,11 +21,12 @@ TEST(ClusterFactory, MiniKeepsNodeShape)
 
 TEST(ClusterFactory, EconomyTierIsSlowerAndCheaper)
 {
-    const GpuSpec economy = economyGpuSpec(0.5);
+    ASSERT_GE(machineSpecCount(), 2u);
+    const MachineSpec &economy = machineSpecTable()[1];
     const GpuSpec premium = supercloudSpec().node.gpu;
-    EXPECT_LT(economy.relative_speed, premium.relative_speed);
-    EXPECT_LT(economy.tdp_watts, premium.tdp_watts);
-    EXPECT_LT(economy.memory_gb, premium.memory_gb);
+    EXPECT_LT(economy.gpu_relative_speed, premium.relative_speed);
+    EXPECT_LT(economy.gpu_tdp_watts, premium.tdp_watts);
+    EXPECT_LT(economy.gpu_memory_gb, premium.memory_gb);
 }
 
 TEST(ClusterFactory, PrintSpecContainsTableOneRows)

@@ -89,12 +89,6 @@ TEST(Descriptive, PercentileUnsortedInput)
     EXPECT_DOUBLE_EQ(percentile({9.0, 1.0, 5.0}, 0.5), 5.0);
 }
 
-TEST(Descriptive, SumBasic)
-{
-    const std::vector<double> xs = {1.5, 2.5, -1.0};
-    EXPECT_DOUBLE_EQ(sum(xs), 3.0);
-}
-
 TEST(BoxStats, QuartilesOfUniformRange)
 {
     std::vector<double> xs;
@@ -157,26 +151,6 @@ TEST(RunningSummary, StddevMatchesBatch)
     EXPECT_NEAR(s.covPercent(), covPercent(xs), 1e-9);
 }
 
-TEST(RunningSummary, MergeEqualsCombinedStream)
-{
-    RunningSummary a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        const double x = 0.1 * i;
-        if (i % 2) {
-            a.add(x);
-        } else {
-            b.add(x);
-        }
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.stddev(), all.stddev(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(RunningSummary, ZeroMeanCovIsNan)
 {
     RunningSummary s;
@@ -185,15 +159,6 @@ TEST(RunningSummary, ZeroMeanCovIsNan)
     EXPECT_TRUE(std::isnan(s.covPercent()));
     RunningSummary empty;
     EXPECT_TRUE(std::isnan(empty.covPercent()));
-}
-
-TEST(RunningSummary, MergeWithEmptyIsNoop)
-{
-    RunningSummary a, empty;
-    a.add(1.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 1u);
-    EXPECT_DOUBLE_EQ(a.mean(), 1.0);
 }
 
 // Property sweep: CoV of a two-point distribution {0, x} is always

@@ -29,13 +29,6 @@ TEST(Ecdf, QuantileRejectsLevelsOutsideUnitInterval)
     EXPECT_THROW(cdf.quantile(42.0), ContractViolation);
 }
 
-TEST(Ecdf, CurveOfEmptyCdfIsAContractViolation)
-{
-    ScopedCheckFailHandler guard;
-    const EmpiricalCdf cdf;
-    EXPECT_THROW(cdf.curve(11), ContractViolation);
-}
-
 TEST(Ecdf, StepFunctionValues)
 {
     const EmpiricalCdf cdf({1.0, 2.0, 3.0, 4.0});
@@ -59,23 +52,6 @@ TEST(Ecdf, QuantileMatchesPercentile)
     EXPECT_DOUBLE_EQ(cdf.quantile(0.0), 1.0);
     EXPECT_DOUBLE_EQ(cdf.quantile(0.5), 2.5);
     EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 4.0);
-}
-
-TEST(Ecdf, CurveIsMonotone)
-{
-    Rng rng(5);
-    std::vector<double> xs;
-    for (int i = 0; i < 500; ++i)
-        xs.push_back(rng.gaussian());
-    const EmpiricalCdf cdf(std::move(xs));
-    const auto curve = cdf.curve(51);
-    ASSERT_EQ(curve.size(), 51u);
-    for (std::size_t i = 1; i < curve.size(); ++i) {
-        EXPECT_GE(curve[i].first, curve[i - 1].first);
-        EXPECT_GE(curve[i].second, curve[i - 1].second);
-    }
-    EXPECT_DOUBLE_EQ(curve.front().second, 0.0);
-    EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
 }
 
 TEST(Ecdf, KsDistanceOfIdenticalSamplesIsZero)

@@ -38,47 +38,5 @@ TEST(TopShare, EmptyAndZeroTotals)
     EXPECT_DOUBLE_EQ(topShare(zeros, 0.5), 0.0);
 }
 
-TEST(ShareCurve, MonotoneToOne)
-{
-    const std::vector<double> xs = {5.0, 1.0, 3.0};
-    const auto curve = shareCurve(xs);
-    ASSERT_EQ(curve.size(), 3u);
-    EXPECT_NEAR(curve[0], 5.0 / 9.0, 1e-12);
-    EXPECT_NEAR(curve[1], 8.0 / 9.0, 1e-12);
-    EXPECT_NEAR(curve[2], 1.0, 1e-12);
-    for (std::size_t i = 1; i < curve.size(); ++i)
-        EXPECT_GE(curve[i], curve[i - 1]);
-}
-
-TEST(Gini, EqualDistributionIsZero)
-{
-    const std::vector<double> xs(50, 2.0);
-    EXPECT_NEAR(gini(xs), 0.0, 1e-12);
-}
-
-TEST(Gini, TotalConcentrationApproachesOne)
-{
-    std::vector<double> xs(100, 0.0);
-    xs[0] = 1.0;
-    EXPECT_GT(gini(xs), 0.95);
-}
-
-TEST(Gini, ScaleInvariant)
-{
-    const std::vector<double> xs = {1.0, 2.0, 3.0, 10.0};
-    std::vector<double> scaled;
-    for (double x : xs)
-        scaled.push_back(x * 1000.0);
-    EXPECT_NEAR(gini(xs), gini(scaled), 1e-12);
-}
-
-TEST(Gini, DegenerateInputs)
-{
-    const std::vector<double> empty;
-    const std::vector<double> one = {5.0};
-    EXPECT_DOUBLE_EQ(gini(empty), 0.0);
-    EXPECT_DOUBLE_EQ(gini(one), 0.0);
-}
-
 } // namespace
 } // namespace aiwc::stats

@@ -114,8 +114,6 @@ TEST(RenderCdf, RoundTripsAnUncompactedSketch)
     EXPECT_DOUBLE_EQ(rendered.quantile(0.0), 1.0);
     EXPECT_DOUBLE_EQ(rendered.quantile(1.0), 13.0);
     EXPECT_LE(rendered.ksDistance(exact), 1.0 / 200.0 + 1.0 / xs.size());
-    // curve() on the rendered CDF is usable like any other.
-    EXPECT_EQ(rendered.curve(11).size(), 11u);
 }
 
 TEST(RenderCdf, SamplesAreTheSketchQuantilesInLevelOrder)

@@ -95,7 +95,7 @@ TEST(Frame, RoundTripPreservesEveryField)
     // keeps frames keeps no slack.
     EXPECT_EQ(frame.capacity(), frame.size());
     const auto decoded = decodeFrame(frame);
-    ASSERT_TRUE(decoded.ok()) << toString(decoded.status);
+    ASSERT_TRUE(decoded.ok()) << static_cast<int>(decoded.status);
     EXPECT_EQ(decoded.tenant, 77u);
     EXPECT_EQ(decoded.consumed, frame.size());
     ASSERT_EQ(decoded.records.size(), records.size());
@@ -310,13 +310,6 @@ TEST(Frame, Crc32MatchesTheIeeeReferenceVector)
                                   '6', '7', '8', '9'};
     EXPECT_EQ(crc32(check), 0xCBF43926u);
     EXPECT_EQ(crc32({}), 0u);
-}
-
-TEST(Frame, StatusNamesAreStable)
-{
-    EXPECT_STREQ(toString(DecodeStatus::Ok), "ok");
-    EXPECT_STREQ(toString(DecodeStatus::BadCrc), "bad-crc");
-    EXPECT_STREQ(toString(DecodeStatus::Malformed), "malformed");
 }
 
 } // namespace

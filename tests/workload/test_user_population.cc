@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "aiwc/stats/correlation.hh"
@@ -126,10 +127,19 @@ TEST(UserPopulation, RuntimeScaleAntiCorrelatesWithActivity)
 
 TEST(UserPopulation, MultiGpuCapableFractionNearTarget)
 {
+    // Fraction of users whose tier allows multi-GPU jobs.
     double acc = 0.0;
     constexpr int reps = 20;
-    for (int r = 0; r < reps; ++r)
-        acc += makePopulation(191, 300 + r).multiGpuCapableFraction();
+    for (int r = 0; r < reps; ++r) {
+        const auto pop = makePopulation(191, 300 + r);
+        const auto users = pop.users();
+        acc += static_cast<double>(std::count_if(
+                   users.begin(), users.end(),
+                   [](const UserProfile &u) {
+                       return u.tier != GpuTier::SingleOnly;
+                   })) /
+               static_cast<double>(users.size());
+    }
     EXPECT_NEAR(acc / reps, 0.68, 0.05);
 }
 
