@@ -98,54 +98,6 @@ struct SweepMix
     core::Dataset slice;
 };
 
-/**
- * Simulate every (machine class, mix, policy) cell, laid out
- * machine-class-major. Shard-safe: cell i writes only
- * report.cells[i]; overlays are computed by the policy-0 cell of each
- * (class, mix) pair and copied across afterwards.
- */
-FrontierReport
-sweepCells(const ScenarioSpec &spec, const SweepOptions &options,
-           const std::vector<SweepMix> &mixes,
-           const std::vector<const SchedulingPolicy *> &policies)
-{
-    FrontierReport report;
-    report.scenario = spec.name;
-    report.seed = options.seed;
-    const std::size_t n_mix = mixes.size();
-    const std::size_t n_pol = policies.size();
-    const std::size_t n_cells = spec.machines.size() * n_mix * n_pol;
-    if (n_cells == 0)
-        return report;
-
-    report.cells.resize(n_cells);
-    parallelFor(globalPool(), n_cells, [&](std::size_t i) {
-        obs::TraceSpan cell_span("scenario.cell");
-        obs::ScopedTimer timer(RunnerMetrics::get().cell_ns);
-        const MachineClassSpec &cls = spec.machines[i / (n_mix * n_pol)];
-        const SweepMix &mix = mixes[(i / n_pol) % n_mix];
-        const std::size_t pol_i = i % n_pol;
-        const SchedulingPolicy &policy = *policies[pol_i];
-        CellResult &cell = report.cells[i];
-        cell.machine_class = cls.name;
-        cell.task_mix = mix.name;
-        cell.policy = policy.name();
-        const int count = cls.count < options.machines_per_cell
-                              ? (cls.count > 0 ? cls.count : 1)
-                              : options.machines_per_cell;
-        cell.stats = simulateCell(cls, count, mix.tasks, policy);
-        if (pol_i == 0)
-            cell.overlay = computeOverlay(mix.slice, cls);
-    });
-    for (std::size_t i = 0; i < n_cells; ++i)
-        if (i % n_pol != 0)
-            report.cells[i].overlay = report.cells[i - i % n_pol].overlay;
-
-    report.frontier = paretoFrontier(report.cells);
-    RunnerMetrics::get().sweeps.add(1);
-    return report;
-}
-
 } // namespace
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec &spec, SweepOptions options)
@@ -173,7 +125,46 @@ ScenarioRunner::sweep(
         m.tasks = tasksFromDataset(dataset, mix, options_.seed);
         m.slice = gpuSlice(dataset, m.tasks);
     }
-    return sweepCells(spec_, options_, sweep_mixes, policies);
+
+    FrontierReport report;
+    report.scenario = spec_.name;
+    report.seed = options_.seed;
+    const std::size_t n_mix = sweep_mixes.size();
+    const std::size_t n_pol = policies.size();
+    const std::size_t n_cells = spec_.machines.size() * n_mix * n_pol;
+    if (n_cells == 0)
+        return report;
+
+    // Cells are laid out machine-class-major. Shard-safe: cell i
+    // writes only report.cells[i]; overlays are computed by the
+    // policy-0 cell of each (class, mix) pair and copied across
+    // afterwards.
+    report.cells.resize(n_cells);
+    parallelFor(globalPool(), n_cells, [&](std::size_t i) {
+        obs::TraceSpan cell_span("scenario.cell");
+        obs::ScopedTimer timer(RunnerMetrics::get().cell_ns);
+        const MachineClassSpec &cls = spec_.machines[i / (n_mix * n_pol)];
+        const SweepMix &mix = sweep_mixes[(i / n_pol) % n_mix];
+        const std::size_t pol_i = i % n_pol;
+        const SchedulingPolicy &policy = *policies[pol_i];
+        CellResult &cell = report.cells[i];
+        cell.machine_class = cls.name;
+        cell.task_mix = mix.name;
+        cell.policy = policy.name();
+        const int count = cls.count < options_.machines_per_cell
+                              ? (cls.count > 0 ? cls.count : 1)
+                              : options_.machines_per_cell;
+        cell.stats = simulateCell(cls, count, mix.tasks, policy);
+        if (pol_i == 0)
+            cell.overlay = computeOverlay(mix.slice, cls);
+    });
+    for (std::size_t i = 0; i < n_cells; ++i)
+        if (i % n_pol != 0)
+            report.cells[i].overlay = report.cells[i - i % n_pol].overlay;
+
+    report.frontier = paretoFrontier(report.cells);
+    RunnerMetrics::get().sweeps.add(1);
+    return report;
 }
 
 } // namespace aiwc::scenario
