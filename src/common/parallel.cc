@@ -2,8 +2,12 @@
 
 #include "aiwc/base/check.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string_view>
 
 namespace aiwc
 {
@@ -11,8 +15,11 @@ namespace aiwc
 namespace
 {
 
-/** Set for the lifetime of every worker thread's loop. */
-// aiwc-lint: allow(mutable-global) -- worker-identity flag, written once at spawn, read only to reject nested parallelism; never reaches results
+/**
+ * Set for the lifetime of every worker thread's loop, and on a calling
+ * thread while it runs shards of a dispatchShards call.
+ */
+// aiwc-lint: allow(mutable-global) -- worker-identity flag, set at spawn or around a caller's own shards, read only to run nested parallelism inline; never reaches results
 thread_local bool worker_thread = false;
 
 // aiwc-lint: allow(mutable-global) -- guards the lazy global pool below
@@ -102,9 +109,23 @@ int
 defaultThreadCount()
 {
     if (const char *env = std::getenv("AIWC_THREADS")) {
-        const int n = std::atoi(env);
-        if (n >= 1)
-            return n;
+        // The whole value must be decimal digits: from_chars takes no
+        // sign, space or suffix, so "4x" and " 4" are junk, and a count
+        // too large for any integer still reads as too large.
+        const std::string_view text(env);
+        const char *end = text.data() + text.size();
+        std::uint64_t n = 0;
+        const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+        const bool digits = ptr == end && !text.empty();
+        const auto cap = static_cast<std::uint64_t>(max_pool_threads);
+        if (digits && (ec == std::errc::result_out_of_range ||
+                       (ec == std::errc{} && n > cap))) {
+            warn("capping AIWC_THREADS='", env, "' at ", max_pool_threads,
+                 " threads");
+            return max_pool_threads;
+        }
+        if (digits && ec == std::errc{} && n >= 1)
+            return static_cast<int>(n);
         warn("ignoring AIWC_THREADS='", env, "': not a positive count");
     }
     const unsigned hw = std::thread::hardware_concurrency();
@@ -123,8 +144,9 @@ globalPool()
 void
 setGlobalThreadCount(int threads)
 {
-    AIWC_CHECK(threads >= 1, "global thread count must be >= 1, got ",
-               threads);
+    AIWC_CHECK(threads >= 1 && threads <= max_pool_threads,
+               "global thread count must lie in [1, ", max_pool_threads,
+               "], got ", threads);
     MutexLock lock(global_pool_mutex);
     if (global_pool && global_pool->threads() == threads)
         return;
@@ -155,6 +177,92 @@ shardsExecutedCounter()
     static obs::Counter &counter =
         obs::MetricsRegistry::global().counter("aiwc.parallel.shards_executed");
     return counter;
+}
+
+namespace
+{
+
+/**
+ * What one dispatchShards call shares with its helper tasks. Held by
+ * shared_ptr: a helper that starts after the last shard was claimed
+ * still reads `next`, and the helper that finishes the last shard
+ * still signals, possibly after the call has returned. `ctx` is only
+ * dereferenced for a claimed shard, which the call waits for.
+ */
+struct ShardDispatch
+{
+    ShardDispatch(std::size_t count, ShardThunk thunk, void *ctx)
+        : count(count), thunk(thunk), ctx(ctx)
+    {
+    }
+
+    /** Claim and run shards until none is left. */
+    void
+    drain()
+    {
+        for (;;) {
+            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
+                return;
+            thunk(ctx, i);
+            // acq_rel: the caller's acquire load of the final count sees
+            // every shard's writes.
+            if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
+                MutexLock lock(mutex);
+                all_done.notify_all();
+            }
+        }
+    }
+
+    /** Block until every shard has finished. */
+    void
+    wait()
+    {
+        MutexLock lock(mutex);
+        while (done.load(std::memory_order_acquire) != count)
+            all_done.wait(mutex);
+    }
+
+    const std::size_t count;
+    const ShardThunk thunk;
+    void *const ctx;
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> done{0};
+    Mutex mutex;
+    CondVar all_done;
+};
+
+/** Marks the calling thread as a worker for one scope. */
+class WorkerScope
+{
+  public:
+    WorkerScope() : was_(worker_thread) { worker_thread = true; }
+    ~WorkerScope() { worker_thread = was_; }
+
+    WorkerScope(const WorkerScope &) = delete;
+    WorkerScope &operator=(const WorkerScope &) = delete;
+
+  private:
+    bool was_;
+};
+
+} // namespace
+
+void
+dispatchShards(ThreadPool &pool, std::size_t count, ShardThunk thunk,
+               void *ctx)
+{
+    AIWC_DCHECK(count >= 2, "dispatchShards needs >= 2 shards");
+    const auto state = std::make_shared<ShardDispatch>(count, thunk, ctx);
+    const std::size_t helpers = std::min(
+        static_cast<std::size_t>(pool.threads() - 1), count - 1);
+    for (std::size_t h = 0; h < helpers; ++h)
+        pool.submit([state] { state->drain(); });
+    {
+        const WorkerScope as_worker;
+        state->drain();
+    }
+    state->wait();
 }
 
 std::vector<ShardRange>

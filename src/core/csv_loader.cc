@@ -315,15 +315,20 @@ loadDatasetCsv(std::istream &is, std::string *error)
 {
     if (error)
         error->clear();
-    std::size_t size = csv_read_window;
+    // The window starts at one parse piece, so a small stream never
+    // pays for a full window, and doubles toward csv_read_window while
+    // reads keep filling it.
+    std::size_t size = piece_bytes;
     auto window = std::make_unique_for_overwrite<char[]>(size);
     std::size_t have = 0;     // bytes in window, the carried tail first
     std::size_t line_no = 0;  // number of the next line; 0 before the header
     std::vector<JobRecord> records;
     std::size_t skipped = 0;
+    bool filled = false;  // the last read filled the window
     for (bool eof = false; !eof;) {
-        if (have == size) {
-            // One line fills the window: double it and read on.
+        if (have == size || (filled && size < csv_read_window)) {
+            // A line fills the window, or the stream outgrows it: double
+            // it and read on.
             auto wider = std::make_unique_for_overwrite<char[]>(2 * size);
             std::copy_n(window.get(), have, wider.get());
             window = std::move(wider);
@@ -333,6 +338,7 @@ loadDatasetCsv(std::istream &is, std::string *error)
                 static_cast<std::streamsize>(size - have));
         have += static_cast<std::size_t>(is.gcount());
         eof = !is;
+        filled = have == size;
         std::string_view text(window.get(), have);
         if (!eof) {
             const std::size_t last = text.rfind('\n');

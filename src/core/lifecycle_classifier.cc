@@ -46,11 +46,11 @@ constexpr auto terminal_table = makeTerminalTable();
 } // namespace
 
 Lifecycle
-LifecycleClassifier::classify(const JobRecord &job) const
+LifecycleClassifier::classify(TerminalState terminal) const
 {
     // Hardware losses are <0.5% of jobs (Sec. II); like the paper,
     // classifyTerminal folds them into the failed/development bucket.
-    return classifyTerminal(job.terminal);
+    return classifyTerminal(terminal);
 }
 
 double

@@ -1,5 +1,6 @@
 #include "aiwc/core/power_analyzer.hh"
 
+#include "aiwc/common/parallel.hh"
 #include "aiwc/obs/trace.hh"
 #include "aiwc/stats/kernels.hh"
 
@@ -16,10 +17,16 @@ PowerAnalyzer::analyze(const Dataset &dataset) const
     obs::AnalyzerScope scope("power", idx.size());
 
     PowerReport report;
-    report.avg_watts = stats::EmpiricalCdf(
-        stats::gather(cols.meanUtil(Resource::Power), idx));
-    report.max_watts = stats::EmpiricalCdf(
-        stats::gather(cols.maxUtil(Resource::Power), idx));
+    parallelInvoke(
+        globalPool(),
+        [&] {
+            report.avg_watts = stats::EmpiricalCdf(
+                stats::gather(cols.meanUtil(Resource::Power), idx));
+        },
+        [&] {
+            report.max_watts = stats::EmpiricalCdf(
+                stats::gather(cols.maxUtil(Resource::Power), idx));
+        });
 
     for (double cap : caps_) {
         PowerCapImpact impact;

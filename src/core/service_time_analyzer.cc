@@ -41,15 +41,33 @@ ServiceTimeAnalyzer::analyze(const Dataset &dataset) const
     const auto gpu = dataset.gpuJobIndices();
     const auto cpu = dataset.cpuJobIndices();
 
+    // Six independent series: each is gathered and sorted on its own
+    // worker, the GPU series (the larger) claimed first.
     ServiceTimeReport report;
-    report.gpu_runtime_min =
-        stats::EmpiricalCdf(stats::gatherDivided(cols.runtimeS(), gpu, 60.0));
-    report.cpu_runtime_min =
-        stats::EmpiricalCdf(stats::gatherDivided(cols.runtimeS(), cpu, 60.0));
-    report.gpu_wait_s = stats::EmpiricalCdf(stats::gather(cols.waitS(), gpu));
-    report.cpu_wait_s = stats::EmpiricalCdf(stats::gather(cols.waitS(), cpu));
-    report.gpu_wait_pct = stats::EmpiricalCdf(waitSharePct(cols, gpu));
-    report.cpu_wait_pct = stats::EmpiricalCdf(waitSharePct(cols, cpu));
+    parallelInvoke(
+        globalPool(),
+        [&] {
+            report.gpu_runtime_min = stats::EmpiricalCdf(
+                stats::gatherDivided(cols.runtimeS(), gpu, 60.0));
+        },
+        [&] {
+            report.gpu_wait_s =
+                stats::EmpiricalCdf(stats::gather(cols.waitS(), gpu));
+        },
+        [&] {
+            report.gpu_wait_pct = stats::EmpiricalCdf(waitSharePct(cols, gpu));
+        },
+        [&] {
+            report.cpu_runtime_min = stats::EmpiricalCdf(
+                stats::gatherDivided(cols.runtimeS(), cpu, 60.0));
+        },
+        [&] {
+            report.cpu_wait_s =
+                stats::EmpiricalCdf(stats::gather(cols.waitS(), cpu));
+        },
+        [&] {
+            report.cpu_wait_pct = stats::EmpiricalCdf(waitSharePct(cols, cpu));
+        });
     return report;
 }
 

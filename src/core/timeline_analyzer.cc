@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "aiwc/base/logging.hh"
+#include "aiwc/common/parallel.hh"
 #include "aiwc/obs/trace.hh"
 #include "aiwc/stats/descriptive.hh"
 
@@ -46,43 +47,58 @@ TimelineAnalyzer::analyze(const Dataset &dataset) const
     if (dataset.empty())
         return report;
 
-    Seconds horizon = 0.0;
-    for (const auto &r : dataset.records())
-        horizon = std::max(horizon, r.end_time);
+    // The horizon is a max, exact in any order. CPU jobs weigh their
+    // nodes, from cpu_slots, which only the records hold: one slot per
+    // row, read in parallel. The bins then fold serially in record
+    // order over the columns.
+    const ColumnTable &cols = dataset.columns();
+    const std::span<const double> submit = cols.submitTime();
+    const std::span<const double> start = cols.startTime();
+    const std::span<const double> end = cols.endTime();
+    const std::span<const std::int32_t> gpus = cols.gpus();
+    const std::size_t n = cols.rows();
+    const Seconds horizon = parallelReduce(
+        globalPool(), n, 0.0,
+        [&](Seconds &acc, std::size_t i) { acc = std::max(acc, end[i]); },
+        [](Seconds &into, Seconds &&from) { into = std::max(into, from); });
+    std::vector<double> node_weight(n);
+    parallelFor(globalPool(), n, [&](std::size_t i) {
+        node_weight[i] =
+            gpus[i] > 0
+                ? 0.0
+                : std::ceil(
+                      static_cast<double>(dataset.records()[i].cpu_slots) /
+                      80.0);
+    });
+
     const auto nbins = static_cast<std::size_t>(
         std::ceil(horizon / bin_width_));
     report.bins.resize(std::max<std::size_t>(nbins, 1));
     for (std::size_t i = 0; i < report.bins.size(); ++i)
         report.bins[i].start = static_cast<double>(i) * bin_width_;
 
-    for (const auto &r : dataset.records()) {
-        const auto sub_bin = std::min(
-            report.bins.size() - 1,
-            static_cast<std::size_t>(r.submit_time / bin_width_));
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto sub_bin =
+            std::min(report.bins.size() - 1,
+                     static_cast<std::size_t>(submit[i] / bin_width_));
         ++report.bins[sub_bin].submissions;
 
         // Spread busy time across the bins the run overlaps.
-        const double weight_gpu = static_cast<double>(r.gpus);
-        const double weight_nodes =
-            r.isGpuJob() ? 0.0
-                         : std::ceil(static_cast<double>(r.cpu_slots) /
-                                     80.0);
+        const double weight_gpu = static_cast<double>(gpus[i]);
+        const double weight_nodes = node_weight[i];
         if (weight_gpu == 0.0 && weight_nodes == 0.0)
             continue;
-        const auto first = static_cast<std::size_t>(
-            r.start_time / bin_width_);
+        const auto first = static_cast<std::size_t>(start[i] / bin_width_);
         const auto last = std::min(
             report.bins.size() - 1,
-            static_cast<std::size_t>(r.end_time / bin_width_));
+            static_cast<std::size_t>(end[i] / bin_width_));
         for (std::size_t b = first; b <= last; ++b) {
-            const double lo = std::max(r.start_time,
-                                       report.bins[b].start);
-            const double hi = std::min(
-                r.end_time, report.bins[b].start + bin_width_);
+            const double lo = std::max(start[i], report.bins[b].start);
+            const double hi =
+                std::min(end[i], report.bins[b].start + bin_width_);
             const double overlap = std::max(hi - lo, 0.0) / bin_width_;
             report.bins[b].mean_gpus_busy += weight_gpu * overlap;
-            report.bins[b].mean_cpu_nodes_busy +=
-                weight_nodes * overlap;
+            report.bins[b].mean_cpu_nodes_busy += weight_nodes * overlap;
         }
     }
 

@@ -1,6 +1,7 @@
 #include "aiwc/core/utilization_analyzer.hh"
 
 #include "aiwc/base/logging.hh"
+#include "aiwc/common/parallel.hh"
 #include "aiwc/obs/trace.hh"
 #include "aiwc/stats/kernels.hh"
 
@@ -39,12 +40,24 @@ UtilizationAnalyzer::analyze(const Dataset &dataset) const
     auto pct = [&](Resource r) {
         return stats::gatherScaled(cols.meanUtil(r), idx, 100.0);
     };
+    // The five series are independent: one worker gathers and sorts each.
     UtilizationReport report;
-    report.sm_pct = stats::EmpiricalCdf(pct(Resource::Sm));
-    report.membw_pct = stats::EmpiricalCdf(pct(Resource::MemoryBw));
-    report.memsize_pct = stats::EmpiricalCdf(pct(Resource::MemorySize));
-    report.pcie_tx_pct = stats::EmpiricalCdf(pct(Resource::PcieTx));
-    report.pcie_rx_pct = stats::EmpiricalCdf(pct(Resource::PcieRx));
+    parallelInvoke(
+        globalPool(),
+        [&] { report.sm_pct = stats::EmpiricalCdf(pct(Resource::Sm)); },
+        [&] {
+            report.membw_pct = stats::EmpiricalCdf(pct(Resource::MemoryBw));
+        },
+        [&] {
+            report.memsize_pct =
+                stats::EmpiricalCdf(pct(Resource::MemorySize));
+        },
+        [&] {
+            report.pcie_tx_pct = stats::EmpiricalCdf(pct(Resource::PcieTx));
+        },
+        [&] {
+            report.pcie_rx_pct = stats::EmpiricalCdf(pct(Resource::PcieRx));
+        });
     return report;
 }
 
@@ -62,20 +75,23 @@ UtilizationAnalyzer::analyzeByInterface(const Dataset &dataset) const
     for (const std::uint32_t r : idx)
         by_iface[iface[r]].push_back(r);
 
+    constexpr auto ni = static_cast<std::size_t>(num_interfaces);
     const double total = static_cast<double>(idx.size());
     InterfaceUtilization out;
-    for (int i = 0; i < num_interfaces; ++i) {
-        const auto k = static_cast<std::size_t>(i);
-        out.sm[k] = stats::BoxStats::from(
-            stats::gatherScaled(cols.meanUtil(Resource::Sm),
-                                by_iface[k], 100.0));
-        out.membw[k] = stats::BoxStats::from(
-            stats::gatherScaled(cols.meanUtil(Resource::MemoryBw),
-                                by_iface[k], 100.0));
+    for (std::size_t k = 0; k < ni; ++k)
         out.job_fraction[k] =
             total > 0.0 ? static_cast<double>(by_iface[k].size()) / total
                         : 0.0;
-    }
+    // One box (a gather and a sort) per (resource, interface) pair,
+    // each on its own worker.
+    parallelFor(globalPool(), 2 * ni, [&](std::size_t t) {
+        const std::size_t k = t % ni;
+        const bool sm = t < ni;
+        (sm ? out.sm : out.membw)[k] =
+            stats::BoxStats::from(stats::gatherScaled(
+                cols.meanUtil(sm ? Resource::Sm : Resource::MemoryBw),
+                by_iface[k], 100.0));
+    });
     return out;
 }
 

@@ -19,9 +19,12 @@
  *    shard in index order wins.
  *
  * The global pool is sized from AIWC_THREADS (else the hardware
- * concurrency) and built lazily on first use; setGlobalThreadCount()
- * rebuilds it. Helpers invoked *from* a pool worker run their shards
- * inline on that worker, so nested parallelism cannot deadlock.
+ * concurrency), capped at max_pool_threads, and built lazily on first
+ * use; setGlobalThreadCount() rebuilds it. A helper call hands its
+ * shards to the calling thread plus at most threads - 1 pool tasks,
+ * which claim shards from one counter (detail::dispatchShards). Helpers
+ * invoked *from* a shard — on a pool worker or on the calling thread —
+ * run their shards inline, so nested parallelism cannot deadlock.
  */
 
 #pragma once
@@ -70,7 +73,10 @@ class ThreadPool
      */
     void submit(std::function<void()> task);
 
-    /** True when the calling thread is a pool worker (any pool). */
+    /**
+     * True on a pool worker (any pool), and on a thread that is running
+     * shards of a helper call as a worker.
+     */
     static bool onWorkerThread();
 
   private:
@@ -87,6 +93,13 @@ class ThreadPool
 };
 
 /**
+ * Most worker threads a pool sizing may ask for. Past the 64-shard
+ * ceiling (detail::default_shards) more threads add nothing, and a
+ * mistyped AIWC_THREADS must not start thousands of OS threads.
+ */
+inline constexpr int max_pool_threads = 256;
+
+/**
  * The process-wide pool the analyzers and the synthesizer share.
  * Built on first use with defaultThreadCount() workers.
  */
@@ -95,7 +108,8 @@ ThreadPool &globalPool();
 /**
  * Resize the global pool. Must not be called while work is in flight
  * on the pool (it is a configuration-time knob: main(), bench setup,
- * test fixtures). @param threads >= 1; 1 disables parallel dispatch.
+ * test fixtures). @param threads in [1, max_pool_threads]
+ * (AIWC_CHECK); 1 disables parallel dispatch.
  */
 void setGlobalThreadCount(int threads);
 
@@ -103,8 +117,10 @@ void setGlobalThreadCount(int threads);
 int globalThreadCount();
 
 /**
- * The pool size used when nothing was configured: AIWC_THREADS if set
- * (clamped to >= 1), else std::thread::hardware_concurrency().
+ * The pool size used when nothing was configured: AIWC_THREADS if it is
+ * a whole decimal count >= 1 (capped at max_pool_threads, with a
+ * warning), else std::thread::hardware_concurrency(). Any other
+ * AIWC_THREADS value is ignored with a warning.
  */
 int defaultThreadCount();
 
@@ -144,39 +160,27 @@ std::vector<ShardRange> shardRanges(std::size_t n,
 obs::Histogram &shardNsHistogram();
 obs::Counter &shardsExecutedCounter();
 
-/** Countdown latch for one batch of shard tasks. */
-class TaskGroup
-{
-  public:
-    explicit TaskGroup(std::size_t count) : remaining_(count) {}
+/**
+ * Runs shard `index` of one runShards call; `ctx` is that call's
+ * state. Must not throw: runShards catches per shard.
+ */
+using ShardThunk = void (*)(void *ctx, std::size_t index);
 
-    void
-    done()
-    {
-        MutexLock lock(mutex_);
-        if (--remaining_ == 0)
-            cv_.notify_all();
-    }
-
-    void
-    wait()
-    {
-        MutexLock lock(mutex_);
-        // Explicit predicate re-check loop: the thread-safety analysis
-        // sees the guarded read, and spurious wakeups stay harmless.
-        while (remaining_ != 0)
-            cv_.wait(mutex_);
-    }
-
-  private:
-    Mutex mutex_;
-    CondVar cv_;
-    std::size_t remaining_ AIWC_GUARDED_BY(mutex_);
-};
+/**
+ * Run thunk(ctx, i) once for every i in [0, count), count >= 2, on the
+ * calling thread plus at most min(threads - 1, count - 1) pool tasks.
+ * Each of them claims shard indices from one atomic counter until none
+ * is left, so a call costs O(threads) task hand-offs, not one per
+ * shard. The caller runs its shards as a worker (nested helper calls
+ * inside them run inline) and returns once every shard has finished;
+ * it never waits on a helper that claimed no shard.
+ */
+void dispatchShards(ThreadPool &pool, std::size_t count, ShardThunk thunk,
+                    void *ctx);
 
 /**
  * Run one callable per shard, inline when the pool is serial (or when
- * already on a worker thread), otherwise fanned across the pool.
+ * already on a worker thread), otherwise through dispatchShards.
  * Rethrows the first (by shard index) escaped exception after all
  * shards finished — no partial waits, no swallowed failures.
  */
@@ -196,21 +200,21 @@ runShards(ThreadPool &pool, const std::vector<ShardRange> &shards,
         }
         return;
     }
-    TaskGroup group(shards.size());
     std::vector<std::exception_ptr> errors(shards.size());
-    for (const ShardRange &s : shards) {
-        pool.submit([&fn, &group, &errors, s] {
-            try {
-                obs::ScopedTimer timer(shardNsHistogram(),
-                                       "parallel.shard");
-                fn(s);
-            } catch (...) {
-                errors[s.index] = std::current_exception();
-            }
-            group.done();
-        });
-    }
-    group.wait();
+    auto one = [&fn, &shards, &errors](std::size_t i) {
+        try {
+            obs::ScopedTimer timer(shardNsHistogram(), "parallel.shard");
+            fn(shards[i]);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    };
+    dispatchShards(
+        pool, shards.size(),
+        [](void *ctx, std::size_t i) {
+            (*static_cast<decltype(one) *>(ctx))(i);
+        },
+        &one);
     for (std::exception_ptr &e : errors)
         if (e)
             std::rethrow_exception(e);
@@ -265,6 +269,22 @@ parallelReduce(ThreadPool &pool, std::size_t n, const Acc &identity,
     for (Acc &p : partial)
         merge(result, std::move(p));
     return result;
+}
+
+/**
+ * Run every callable once, concurrently where the pool allows: one
+ * shard per callable. For independent whole-series work such as one
+ * sort per CDF; each callable must only touch state it owns, and any
+ * helper call inside it runs inline.
+ */
+template <typename... Fns>
+void
+parallelInvoke(ThreadPool &pool, Fns &&...fns)
+{
+    parallelFor(pool, sizeof...(Fns), [&](std::size_t i) {
+        std::size_t k = 0;
+        ((k++ == i ? static_cast<void>(fns()) : static_cast<void>(0)), ...);
+    });
 }
 
 } // namespace aiwc

@@ -11,12 +11,14 @@
  * dataset; the phase analyses (Figs. 6-7a) need the detailed subset.
  *
  * How the loader reads:
- *  - The stream is read in fixed csv_read_window windows, each cut at
- *    its last newline with the tail carried into the next. Each window
- *    is split at fixed byte offsets (moved forward to the next newline)
- *    into pieces parsed in parallel on globalPool(), each into its own
- *    records and warnings; pieces are concatenated in input order. The
- *    geometry depends only on the bytes, never on the thread count.
+ *  - The stream is read in windows that start at one 64 KiB parse
+ *    piece and double up to csv_read_window while reads fill them, each
+ *    cut at its last newline with the tail carried into the next. Each
+ *    window is split at fixed byte offsets (moved forward to the next
+ *    newline) into pieces parsed in parallel on globalPool(), each into
+ *    its own records and warnings; pieces are concatenated in input
+ *    order. The geometry depends only on the bytes, never on the thread
+ *    count.
  *  - An unquoted line is split into cells in place; a line holding a
  *    '"' goes through parseCsvLine(). A numeric cell is read with
  *    std::from_chars when that consumes the whole non-empty cell, and
@@ -45,7 +47,10 @@
 namespace aiwc::core
 {
 
-/** Bytes read from the stream per window (a tail line may grow it). */
+/**
+ * Bytes the read window grows to while a stream fills it (a longer
+ * tail line grows it further).
+ */
 inline constexpr std::size_t csv_read_window = std::size_t{1} << 20;
 
 /**

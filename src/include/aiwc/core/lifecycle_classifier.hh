@@ -26,8 +26,8 @@ namespace aiwc::core
 class LifecycleClassifier
 {
   public:
-    /** Infer the lifecycle class of one job. */
-    Lifecycle classify(const JobRecord &job) const;
+    /** Infer the lifecycle class of a job that ended in `terminal`. */
+    Lifecycle classify(TerminalState terminal) const;
 
     /**
      * Agreement with the generator ground truth, for validation only

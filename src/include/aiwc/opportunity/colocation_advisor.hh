@@ -17,6 +17,17 @@
 namespace aiwc::opportunity
 {
 
+/** The mean utilizations (fractions) the interference model reads. */
+struct GpuDemand
+{
+    double sm = 0.0;
+    double membw = 0.0;
+    double memsize = 0.0;
+
+    /** The job's meanUtilization of each resource. */
+    static GpuDemand of(const core::JobRecord &job);
+};
+
 /** Interference prediction for two jobs sharing one GPU. */
 class InterferenceModel
 {
@@ -32,6 +43,7 @@ class InterferenceModel
           memsize_limit_(memsize_limit) {}
 
     /** Hard feasibility: both working sets must fit in GPU memory. */
+    bool fits(const GpuDemand &a, const GpuDemand &b) const;
     bool fits(const core::JobRecord &a, const core::JobRecord &b) const;
 
     /**
@@ -40,6 +52,7 @@ class InterferenceModel
      * capacity, so complementary (compute + memory) pairs co-run
      * nearly free — the non-contending sharing the paper calls for.
      */
+    double pairSlowdown(const GpuDemand &a, const GpuDemand &b) const;
     double pairSlowdown(const core::JobRecord &a,
                         const core::JobRecord &b) const;
 

@@ -47,11 +47,14 @@ class MultiTierPlanner
                      double economy_cost = 0.35)
         : economy_speed_(economy_speed), economy_cost_(economy_cost) {}
 
-    /** Slowdown a job would see on the economy tier. */
-    double jobSlowdown(const core::JobRecord &job) const;
+    /**
+     * Slowdown a job would see on the economy tier, from its mean SM
+     * utilization (JobRecord::meanUtilization(Resource::Sm)).
+     */
+    double jobSlowdown(double sm_mean) const;
 
-    /** True when the job should move to the economy tier. */
-    bool shouldShift(const core::JobRecord &job) const;
+    /** True when a job that ended in `terminal` should move tiers. */
+    bool shouldShift(TerminalState terminal) const;
 
     MultiTierPlan plan(const core::Dataset &dataset) const;
 

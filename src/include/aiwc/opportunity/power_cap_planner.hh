@@ -50,8 +50,12 @@ class PowerCapPlanner
                              double burst_penalty = 0.15)
         : tdp_watts_(tdp_watts), burst_penalty_(burst_penalty) {}
 
-    /** Slowdown of one job under a cap. */
-    double jobSlowdown(const core::JobRecord &job, double cap_watts) const;
+    /**
+     * Slowdown under a cap of one job with this average and max power
+     * draw (JobRecord::meanPowerWatts and maxPowerWatts).
+     */
+    double jobSlowdown(double avg_watts, double max_watts,
+                       double cap_watts) const;
 
     /** Evaluate a list of cap levels over the dataset. */
     std::vector<PowerCapPlan>

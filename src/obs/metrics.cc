@@ -74,8 +74,11 @@ Histogram::reset()
 MetricsRegistry &
 MetricsRegistry::global()
 {
-    static MetricsRegistry registry;
-    return registry;
+    // Never destroyed: a pool worker may still count a helper task it
+    // runs while the global pool is torn down at exit, after every
+    // function-local static would have been.
+    static MetricsRegistry *const registry = new MetricsRegistry();
+    return *registry;
 }
 
 MetricsRegistry::Entry &

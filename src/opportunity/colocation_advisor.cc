@@ -2,27 +2,37 @@
 
 #include <algorithm>
 
+#include "aiwc/common/parallel.hh"
+
 namespace aiwc::opportunity
 {
+
+GpuDemand
+GpuDemand::of(const core::JobRecord &job)
+{
+    return {job.meanUtilization(Resource::Sm),
+            job.meanUtilization(Resource::MemoryBw),
+            job.meanUtilization(Resource::MemorySize)};
+}
+
+bool
+InterferenceModel::fits(const GpuDemand &a, const GpuDemand &b) const
+{
+    return a.memsize + b.memsize <= memsize_limit_;
+}
 
 bool
 InterferenceModel::fits(const core::JobRecord &a,
                         const core::JobRecord &b) const
 {
-    const double combined =
-        a.meanUtilization(Resource::MemorySize) +
-        b.meanUtilization(Resource::MemorySize);
-    return combined <= memsize_limit_;
+    return fits(GpuDemand::of(a), GpuDemand::of(b));
 }
 
 double
-InterferenceModel::pairSlowdown(const core::JobRecord &a,
-                                const core::JobRecord &b) const
+InterferenceModel::pairSlowdown(const GpuDemand &a, const GpuDemand &b) const
 {
-    const double sm =
-        a.meanUtilization(Resource::Sm) + b.meanUtilization(Resource::Sm);
-    const double membw = a.meanUtilization(Resource::MemoryBw) +
-                         b.meanUtilization(Resource::MemoryBw);
+    const double sm = a.sm + b.sm;
+    const double membw = a.membw + b.membw;
     double slowdown = 1.0;
     if (sm > 1.0)
         slowdown += sm_alpha_ * (sm - 1.0);
@@ -33,67 +43,100 @@ InterferenceModel::pairSlowdown(const core::JobRecord &a,
     return slowdown;
 }
 
+double
+InterferenceModel::pairSlowdown(const core::JobRecord &a,
+                                const core::JobRecord &b) const
+{
+    return pairSlowdown(GpuDemand::of(a), GpuDemand::of(b));
+}
+
 ColocationReport
 ColocationAdvisor::analyze(const core::Dataset &dataset) const
 {
     ColocationReport report;
 
-    // Candidates: single-GPU jobs, replayed in start order.
-    const std::span<const std::int32_t> gpu_count =
-        dataset.columns().gpus();
-    const std::span<const double> start = dataset.columns().startTime();
-    auto jobs = dataset.gpuJobIndices();
-    std::erase_if(jobs, [&](std::uint32_t i) { return gpu_count[i] != 1; });
+    // Candidates: single-GPU jobs, replayed in start order. Every
+    // scalar the replay reads comes from the columns.
+    const core::ColumnTable &cols = dataset.columns();
+    const std::span<const std::int32_t> gpu_count = cols.gpus();
+    const std::span<const double> start = cols.startTime();
+    const std::span<const double> end = cols.endTime();
+    const std::span<const double> hours = cols.gpuHours();
+    const std::span<const double> sm = cols.meanUtil(Resource::Sm);
+    const std::span<const double> membw = cols.meanUtil(Resource::MemoryBw);
+    const std::span<const double> memsize =
+        cols.meanUtil(Resource::MemorySize);
+    // The sort key travels with its row, so comparisons read no column.
+    // Comparing by start alone, this sort makes the same comparisons
+    // and moves as a sort of bare rows through start[], so ties land
+    // in the same order.
+    std::vector<std::pair<double, std::uint32_t>> jobs;
+    for (const std::uint32_t i : dataset.gpuJobIndices())
+        if (gpu_count[i] == 1)
+            jobs.emplace_back(start[i], i);
     std::sort(jobs.begin(), jobs.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return start[a] < start[b];
-              });
+              [](const auto &a, const auto &b) { return a.first < b.first; });
     report.gpu_jobs = jobs.size();
     if (jobs.empty())
         return report;
 
+    // Each arrival's columns, gathered into its own slot, so the
+    // serial replay below reads them in order.
+    struct Arrival
+    {
+        double start, end, hours;
+        GpuDemand demand;
+    };
+    std::vector<Arrival> arrivals(jobs.size());
+    parallelFor(globalPool(), jobs.size(), [&](std::size_t k) {
+        const auto [t, i] = jobs[k];
+        arrivals[k] = {t, end[i], hours[i], {sm[i], membw[i], memsize[i]}};
+    });
+
+    // Unpaired jobs still running, in the order they arrived. A paired
+    // job never pairs again, so it leaves the pool at once.
     struct Resident
     {
-        const core::JobRecord *job;
-        bool paired;
+        double end;
+        GpuDemand demand;
     };
     std::vector<Resident> running;
     std::vector<double> slowdowns;
     double saved_hours = 0.0, total_hours = 0.0;
     std::size_t paired = 0;
 
-    for (const std::uint32_t i : jobs) {
-        const core::JobRecord &job = dataset.records()[i];
-        total_hours += job.gpuHours();
-        // Retire finished residents.
-        std::erase_if(running, [&](const Resident &r) {
-            return r.job->end_time <= job.start_time;
-        });
-
-        // Find the best (lowest-slowdown) unpaired partner.
-        Resident *best = nullptr;
+    for (const Arrival &job : arrivals) {
+        total_hours += job.hours;
+        // One pass retires finished residents and finds the best
+        // (lowest-slowdown, latest on ties) partner among the rest.
+        std::size_t kept = 0;
+        std::size_t best = running.size();
         double best_slowdown = max_slowdown_;
-        for (auto &r : running) {
-            if (r.paired || !model_.fits(*r.job, job))
+        for (const Resident &r : running) {
+            if (r.end <= job.start)
                 continue;
-            const double s = model_.pairSlowdown(*r.job, job);
-            if (s <= best_slowdown) {
-                best = &r;
-                best_slowdown = s;
+            if (model_.fits(r.demand, job.demand)) {
+                const double s = model_.pairSlowdown(r.demand, job.demand);
+                if (s <= best_slowdown) {
+                    best = kept;
+                    best_slowdown = s;
+                }
             }
+            running[kept++] = r;
         }
-        if (best) {
-            best->paired = true;
+        running.resize(kept);
+        if (best < kept) {
             paired += 2;
             slowdowns.push_back(best_slowdown);
             // The overlap runs on one GPU instead of two.
             const double overlap =
-                std::min(best->job->end_time, job.end_time) -
-                job.start_time;
+                std::min(running[best].end, job.end) - job.start;
             saved_hours += std::max(overlap, 0.0) / 3600.0;
             // The arriving job rides along; it does not join the pool.
+            running.erase(running.begin() +
+                          static_cast<std::ptrdiff_t>(best));
         } else {
-            running.push_back(Resident{&job, false});
+            running.push_back(Resident{job.end, job.demand});
         }
     }
 

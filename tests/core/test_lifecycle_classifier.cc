@@ -14,20 +14,15 @@ using testing::gpuRecord;
 TEST(LifecycleClassifier, MapsTerminalStates)
 {
     const LifecycleClassifier clf;
-    EXPECT_EQ(clf.classify(gpuRecord(1, 0, 60.0, 1, 0.2, 0.5,
-                                     TerminalState::Completed)),
+    EXPECT_EQ(clf.classify(TerminalState::Completed),
               Lifecycle::Mature);
-    EXPECT_EQ(clf.classify(gpuRecord(2, 0, 60.0, 1, 0.2, 0.5,
-                                     TerminalState::Cancelled)),
+    EXPECT_EQ(clf.classify(TerminalState::Cancelled),
               Lifecycle::Exploratory);
-    EXPECT_EQ(clf.classify(gpuRecord(3, 0, 60.0, 1, 0.2, 0.5,
-                                     TerminalState::Failed)),
+    EXPECT_EQ(clf.classify(TerminalState::Failed),
               Lifecycle::Development);
-    EXPECT_EQ(clf.classify(gpuRecord(4, 0, 60.0, 1, 0.2, 0.5,
-                                     TerminalState::TimedOut)),
+    EXPECT_EQ(clf.classify(TerminalState::TimedOut),
               Lifecycle::Ide);
-    EXPECT_EQ(clf.classify(gpuRecord(5, 0, 60.0, 1, 0.2, 0.5,
-                                     TerminalState::NodeFailure)),
+    EXPECT_EQ(clf.classify(TerminalState::NodeFailure),
               Lifecycle::Development);
 }
 

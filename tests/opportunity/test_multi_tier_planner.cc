@@ -33,7 +33,7 @@ TEST(MultiTierPlanner, ShiftsOnlyNonMatureClasses)
     const auto ds = tierDataset();
     for (const std::uint32_t i : ds.gpuJobIndices()) {
         const core::JobRecord &job = ds.records()[i];
-        const bool shifted = planner.shouldShift(job);
+        const bool shifted = planner.shouldShift(job.terminal);
         if (job.terminal == TerminalState::Completed)
             EXPECT_FALSE(shifted);
         else
@@ -46,10 +46,12 @@ TEST(MultiTierPlanner, SlowdownFollowsAmdahl)
     const MultiTierPlanner planner(/*speed=*/0.5);
     // A job at 0% SM does not slow down at all on a slower GPU.
     const auto idle = gpuRecord(1, 0, 3600.0, 1, 0.0, 0.01);
-    EXPECT_NEAR(planner.jobSlowdown(idle), 1.0, 1e-9);
+    EXPECT_NEAR(planner.jobSlowdown(idle.meanUtilization(Resource::Sm)), 1.0,
+                1e-9);
     // A fully GPU-bound job doubles.
     const auto hot = gpuRecord(2, 0, 3600.0, 1, 1.0, 1.0);
-    EXPECT_NEAR(planner.jobSlowdown(hot), 2.0, 1e-9);
+    EXPECT_NEAR(planner.jobSlowdown(hot.meanUtilization(Resource::Sm)), 2.0,
+                1e-9);
 }
 
 TEST(MultiTierPlanner, PlanQuantifiesTheTrade)

@@ -21,24 +21,19 @@ powerRecord(JobId id, double avg_w, double max_w, double hours = 1.0)
 TEST(PowerCapPlanner, UnimpactedJobHasUnitSlowdown)
 {
     const PowerCapPlanner planner;
-    EXPECT_DOUBLE_EQ(planner.jobSlowdown(powerRecord(1, 40.0, 100.0),
-                                         150.0),
-                     1.0);
+    EXPECT_DOUBLE_EQ(planner.jobSlowdown(40.0, 100.0, 150.0), 1.0);
 }
 
 TEST(PowerCapPlanner, PersistentThrottlingScalesWithAvg)
 {
     const PowerCapPlanner planner;
-    EXPECT_NEAR(planner.jobSlowdown(powerRecord(1, 300.0, 300.0),
-                                    150.0),
-                2.0, 1e-9);
+    EXPECT_NEAR(planner.jobSlowdown(300.0, 300.0, 150.0), 2.0, 1e-9);
 }
 
 TEST(PowerCapPlanner, BurstThrottlingIsMild)
 {
     const PowerCapPlanner planner(300.0, 0.15);
-    const double s =
-        planner.jobSlowdown(powerRecord(1, 100.0, 225.0), 150.0);
+    const double s = planner.jobSlowdown(100.0, 225.0, 150.0);
     EXPECT_GT(s, 1.0);
     EXPECT_LE(s, 1.15);
 }
